@@ -14,6 +14,8 @@ import numpy as np
 
 from .harness import (
     ExperimentConfig,
+    _require_maze_shape,
+    _resolve_model,
     _sum_breakdowns,
     emit_plot_data,
     run_experiment,
@@ -91,17 +93,20 @@ def parse_cli(argv) -> argparse.Namespace:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        agent=ObjectiveKind(args.agent),
-        trials=getattr(args, "trials", 50),
-        seed=args.seed,
-        precision=args.precision,
-        tie_tolerance=args.tie_tolerance,
-        reward_prob=args.reward_prob,
-        model_path=args.model,
-        output_dir=getattr(args, "out", None),
-        output_format=getattr(args, "format", "csv"),
-    )
+    try:
+        return ExperimentConfig(
+            agent=ObjectiveKind(args.agent),
+            trials=getattr(args, "trials", 50),
+            seed=args.seed,
+            precision=args.precision,
+            tie_tolerance=args.tie_tolerance,
+            reward_prob=args.reward_prob,
+            model_path=args.model,
+            output_dir=getattr(args, "out", None),
+            output_format=getattr(args, "format", "csv"),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _load_model(args) -> GenerativeModel:
@@ -141,11 +146,10 @@ def _breakdown_lines(model, g_values, breakdowns) -> list[str]:
 
 def _cmd_trial(args) -> int:
     config = config_from_args(args)
-    model = build_tmaze_model(config.reward_prob) if config.model_path is None \
-        else load_spec(config.model_path)
-    violations = validate(model)
-    if violations:
-        raise ModelSpecError("invalid model: " + "; ".join(violations))
+    if args.trial < 1:
+        raise UsageError(f"--trial must be >= 1, got {args.trial}")
+    model = _resolve_model(config)
+    _require_maze_shape(model)
     schedule = default_schedule(max(args.trial, 50))
     context = context_at(schedule, args.trial)
     streams = np.random.SeedSequence(config.seed).spawn(2 * args.trial)
@@ -175,17 +179,29 @@ def _cmd_decompose(args) -> int:
     violations = validate(model)
     if violations:
         raise ModelSpecError("invalid model: " + "; ".join(violations))
+    if not 1 <= args.epoch < model.horizon:
+        raise UsageError(
+            f"--epoch must be a planning epoch 1..{model.horizon - 1}, got {args.epoch}"
+        )
     if args.beliefs is None:
         q_now = model.state_prior
     else:
-        q_now = normalize(np.array([float(x) for x in args.beliefs.split(",")]))
-    executed = tuple(int(x) for x in args.executed.split(",")) if args.executed else ()
-    ctx = PlanContext(
-        current_epoch=args.epoch,
-        executed_actions=executed,
-        precision=args.precision,
-        prior_states_for_risk=model.risk_state_prior,
-    )
+        try:
+            q_now = normalize(np.array([float(x) for x in args.beliefs.split(",")]))
+        except ValueError as exc:
+            raise UsageError(f"--beliefs: {exc}") from exc
+        if len(q_now) != model.num_states:
+            raise UsageError(f"--beliefs needs {model.num_states} entries, got {len(q_now)}")
+    try:
+        executed = tuple(int(x) for x in args.executed.split(",")) if args.executed else ()
+        ctx = PlanContext(
+            current_epoch=args.epoch,
+            executed_actions=executed,
+            precision=args.precision,
+            prior_states_for_risk=model.risk_state_prior,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     objective = ObjectiveKind(args.agent)
     g_values = []
     sums = []

@@ -26,6 +26,7 @@ from .planning import (
     action_marginal,
     expected_free_energy,
     policy_posterior,
+    predictive_states,
     select_action,
 )
 from .tmaze import (
@@ -59,6 +60,10 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not (math.isfinite(self.precision) and self.precision >= 0.0):
             raise ValueError(f"precision must be a nonnegative real, got {self.precision!r}")
+        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0.0):
+            raise ValueError(
+                f"tie_tolerance must be a nonnegative real, got {self.tie_tolerance!r}"
+            )
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
 
@@ -128,9 +133,15 @@ def run_trial(
         observed = tuple((i + 1, o) for i, o in enumerate(observations))
         prefix = tuple(executed)
         viable = [i for i, pol in enumerate(policies) if pol.actions[: len(prefix)] == prefix]
+        # Viable policies share the executed prefix, so they share its filtered
+        # beliefs; they differ only in the predictions past the current epoch.
+        filtered = infer_states(model, policies[viable[0]], observed).states[:epoch]
         beliefs: list[tuple | None] = [None] * len(policies)
         for i in viable:
-            beliefs[i] = infer_states(model, policies[i], observed).states
+            beliefs[i] = filtered + tuple(
+                predictive_states(model, filtered[-1], policies[i], epoch, tau)
+                for tau in range(epoch + 1, horizon + 1)
+            )
 
         ctx = PlanContext(
             current_epoch=epoch,
@@ -144,18 +155,14 @@ def run_trial(
         if epoch < horizon:
             for i in viable:
                 g[i], per_tau = expected_free_energy(
-                    model, beliefs[i][epoch - 1], policies[i], ctx, config.agent
+                    model, filtered[-1], policies[i], ctx, config.agent
                 )
                 breakdowns[i] = _sum_breakdowns(per_tau)
         else:
             g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
 
         post = policy_posterior(g, policies, ctx)
-        ensemble = BeliefEnsemble(
-            per_policy_states=tuple(beliefs),
-            policy_posterior=post,
-            observed=observed,
-        )
+        ensemble = BeliefEnsemble(per_policy_states=tuple(beliefs), policy_posterior=post)
         bma_states = tuple(
             tuple(float(x) for x in bma_beliefs(ensemble, tau).probs)
             for tau in range(1, horizon + 1)

@@ -1,17 +1,14 @@
 """Per-policy state estimation and free-energy evaluation.
 
-Beliefs Q(s_tau | policy) are obtained by fixed-point sweeps over timesteps:
-each sweep replaces Q(s_tau) with the normalized product of the forward
-prediction (transition applied to Q(s_{tau-1}), the state prior at tau = 1)
-and the likelihood row of the observation at tau, when one exists. Sweeps
-repeat until the largest elementwise change drops below the tolerance or the
-sweep cap is hit; the result carries a convergence flag either way.
+Beliefs Q(s_tau | policy) come from one forward pass over timesteps: Q(s_tau)
+is the normalized product of the forward prediction (transition applied to
+Q(s_{tau-1}), the state prior at tau = 1) and the likelihood row of the
+observation at tau, when one exists.
 
-Backward (future-to-past) messages are deliberately not applied: iterating
-them to a fixed point re-counts the same evidence every sweep and collapses
-beliefs to deltas, and it breaks the pure-prediction contract for unobserved
-timesteps. The converged beliefs here are the exact filtered posteriors, for
-which the free energy below telescopes to the exact surprisal bound.
+Backward (future-to-past) messages are deliberately not applied: they would
+break the pure-prediction contract for unobserved timesteps. Without them the
+pass yields the exact filtered posteriors, which minimize the free energy
+below; there it telescopes to the exact surprisal bound.
 """
 from __future__ import annotations
 
@@ -22,17 +19,13 @@ import numpy as np
 from .model import GenerativeModel, Policy
 from .numerics import Categorical, clamped_log
 
-CONVERGENCE_TOL = 1e-6
-MAX_SWEEPS = 32
-
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """Converged (or capped) per-timestep state beliefs for one policy."""
+    """Filtered per-timestep state beliefs for one policy."""
 
     states: tuple[Categorical, ...]   # Q(s_tau | policy), tau = 1..horizon
-    converged: bool
-    sweeps: int
+    sweeps: int = 1  # always one pass; kept because benches/tracer.py reads it per call
 
 
 @dataclass(frozen=True)
@@ -45,14 +38,10 @@ class BeliefEnsemble:
 
     per_policy_states: tuple[tuple[Categorical, ...] | None, ...]
     policy_posterior: Categorical
-    observed: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         if len(self.per_policy_states) != len(self.policy_posterior):
             raise ValueError("one belief sequence per policy is required")
-        times = [t for t, _ in self.observed]
-        if any(later <= earlier for earlier, later in zip(times, times[1:])):
-            raise ValueError(f"observed timesteps must be strictly increasing, got {times}")
         for i, states in enumerate(self.per_policy_states):
             if states is None and self.policy_posterior.probs[i] > 0.0:
                 raise ValueError(f"policy {i} has posterior mass but no beliefs")
@@ -71,51 +60,31 @@ def _check_observed(model: GenerativeModel, observed) -> dict[int, int]:
     return obs_map
 
 
-def infer_states(
-    model: GenerativeModel,
-    policy: Policy,
-    observed,
-    *,
-    tol: float = CONVERGENCE_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> InferenceResult:
-    """Estimate Q(s_tau | policy) for tau = 1..horizon given (timestep, outcome) pairs."""
+def infer_states(model: GenerativeModel, policy: Policy, observed) -> InferenceResult:
+    """Filter Q(s_tau | policy) for tau = 1..horizon given (timestep, outcome) pairs."""
     obs_map = _check_observed(model, observed)
     horizon = model.horizon
     if len(policy.actions) != horizon - 1:
         raise ValueError(f"policy length {len(policy.actions)} does not match horizon {horizon}")
 
-    n = model.num_states
-    beliefs = [np.full(n, 1.0 / n) for _ in range(horizon)]
-    converged = False
-    sweeps = 0
-    while sweeps < max_sweeps and not converged:
-        sweeps += 1
-        delta = 0.0
-        for tau in range(1, horizon + 1):
-            if tau == 1:
-                pred = model.state_prior.probs
-            else:
-                pred = model.transitions[policy.actions[tau - 2]] @ beliefs[tau - 2]
-            if tau in obs_map:
-                weighted = model.likelihood[obs_map[tau]] * pred
-                total = weighted.sum()
-                if total <= 0.0:
-                    raise ValueError(
-                        f"outcome {obs_map[tau]} at timestep {tau} has zero probability "
-                        f"under policy {policy.actions}"
-                    )
-                new = weighted / total
-            else:
-                new = pred / pred.sum()
-            delta = max(delta, float(np.abs(new - beliefs[tau - 1]).max()))
-            beliefs[tau - 1] = new
-        converged = delta < tol
-    return InferenceResult(
-        states=tuple(Categorical(q) for q in beliefs),
-        converged=converged,
-        sweeps=sweeps,
-    )
+    beliefs: list[np.ndarray] = []
+    for tau in range(1, horizon + 1):
+        if tau == 1:
+            pred = model.state_prior.probs
+        else:
+            pred = model.transitions[policy.actions[tau - 2]] @ beliefs[-1]
+        if tau in obs_map:
+            weighted = model.likelihood[obs_map[tau]] * pred
+            total = weighted.sum()
+            if total <= 0.0:
+                raise ValueError(
+                    f"outcome {obs_map[tau]} at timestep {tau} has zero probability "
+                    f"under policy {policy.actions}"
+                )
+            beliefs.append(weighted / total)
+        else:
+            beliefs.append(pred / pred.sum())
+    return InferenceResult(states=tuple(Categorical(q) for q in beliefs))
 
 
 def vfe(model: GenerativeModel, q_states, observed, policy: Policy) -> float:
@@ -123,7 +92,8 @@ def vfe(model: GenerativeModel, q_states, observed, policy: Policy) -> float:
 
     Per timestep: KL from the belief to its forward prediction, minus expected
     log-likelihood of the observation at that timestep if one exists. At the
-    converged beliefs this equals the exact surprisal -log P(o_{1:t} | policy).
+    filtered beliefs from infer_states this equals the exact surprisal
+    -log P(o_{1:t} | policy).
     """
     obs_map = _check_observed(model, observed)
     if len(q_states) != model.horizon:

@@ -294,11 +294,12 @@ def select_action(
 ) -> int:
     """Most likely action; ties within tie_tolerance break uniformly at random.
 
+    Actions with zero probability never tie: no viable policy takes them.
     Consumes exactly one draw from the generator per call so matched seeds
     stay aligned whether or not a tie occurs.
     """
     probs = action_marg.probs
-    tied = np.flatnonzero(probs >= probs.max() - tie_tolerance)
+    tied = np.flatnonzero((probs > 0.0) & (probs >= probs.max() - tie_tolerance))
     draw = rng.random()
     return int(tied[int(draw * len(tied))])
 

@@ -5,21 +5,44 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from efeplan.cli import UsageError, config_from_args, main, parse_cli
 from efeplan.harness import (
     ExperimentConfig,
     build_tables,
     emit_plot_data,
     run_experiment,
+    run_trial,
     write_records,
 )
-from efeplan.model import save_spec
+from efeplan.inference import infer_states
+from efeplan.model import GenerativeModel, Policy, PolicySet, save_spec
+from efeplan.numerics import Categorical
 from efeplan.planning import ObjectiveKind
 from efeplan.tmaze import BLACK, WHITE, build_tmaze_model, score_outcome
 
 
 def _config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
+
+
+class _ModelEnv:
+    """Generative process equal to the model: states from D and B, outcomes from A."""
+
+    true_context = 0
+
+    def __init__(self, model: GenerativeModel, rng: np.random.Generator):
+        self.model, self.rng = model, rng
+        self.state = rng.choice(model.num_states, p=model.state_prior.probs)
+
+    def observe(self) -> int:
+        return int(self.rng.choice(self.model.num_outcomes,
+                                   p=self.model.likelihood[:, self.state]))
+
+    def step(self, action: int) -> int:
+        self.state = self.rng.choice(self.model.num_states,
+                                     p=self.model.transitions[action][:, self.state])
+        return self.observe()
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +72,27 @@ class TestRunTrial:
             )
             picks.add(record.trials[0].actions[0])
         assert picks == {0, 3}
+
+    def test_shared_filter_matches_per_policy_filtering(self):
+        # score_outcome covers the maze's 7 outcomes only
+        rng = np.random.default_rng(72)
+        checked = 0
+        while checked < 40:
+            model = helpers.random_model(rng, max_outcomes=7, max_actions=3, max_horizon=4)
+            if model.horizon < 2:
+                continue
+            checked += 1
+            record = run_trial(model, _ModelEnv(model, rng), _config(), rng)
+            observations = [e.observation for e in record.epochs]
+            for e in record.epochs:
+                observed = [(t, o) for t, o in enumerate(observations[: e.epoch], start=1)]
+                mixed = np.zeros((model.horizon, model.num_states))
+                for w, policy in zip(e.policy_posterior, model.policies):
+                    if w > 0.0:
+                        states = infer_states(model, policy, observed).states
+                        mixed += w * np.array([q.probs for q in states])
+                mixed /= mixed.sum(axis=1, keepdims=True)
+                assert np.abs(np.array(e.bma_states) - mixed).max() < 1e-12
 
     def test_replanning_filters_executed_prefix(self, efe_record):
         for trial in efe_record.trials:
@@ -250,10 +294,30 @@ class TestParseCli:
             parse_cli(["run", "--trials", "many"])
 
     def test_main_exit_codes(self, tmp_path, capsys):
-        assert main(["run", "--agent", "bogus"]) == 1
-        assert main(["run", "--agent", "eu-states", "--trials", "1"]) == 2
-        assert main(["validate", "--model", str(tmp_path / "absent.json")]) == 3
-        capsys.readouterr()
+        two_state = tmp_path / "two_state.json"
+        save_spec(GenerativeModel(
+            num_states=2, num_outcomes=2, num_actions=1, horizon=3,
+            likelihood=np.eye(2), transitions=(np.eye(2),), preferences=np.zeros(2),
+            state_prior=Categorical(np.array([0.5, 0.5])),
+            policies=PolicySet((Policy((0, 0)),)),
+        ), two_state)
+        table = [
+            (["run", "--agent", "bogus"], 1),
+            (["run", "--trials", "0"], 1),
+            (["run", "--precision", "nan"], 1),
+            (["run", "--tie-tolerance", "-1"], 1),
+            (["trial", "--trial", "0"], 1),
+            (["decompose", "--epoch", "3"], 1),
+            (["decompose", "--beliefs", "1,2"], 1),
+            (["run", "--agent", "eu-states", "--trials", "1"], 2),
+            (["trial", "--model", str(two_state)], 2),
+            (["validate", "--model", str(tmp_path / "absent.json")], 3),
+        ]
+        for argv, code in table:
+            assert main(argv) == code, argv
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1, (argv, err)
+            assert "Traceback" not in err, argv
 
     def test_main_run_and_validate_succeed(self, tmp_path, capsys):
         save_spec(build_tmaze_model(), tmp_path / "maze.json")

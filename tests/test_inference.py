@@ -30,8 +30,11 @@ class TestInferStates:
     def test_identity_likelihood_gives_delta(self):
         shift = np.roll(np.eye(3), 1, axis=0)  # deterministic cycle
         model = _chain_model(np.eye(3), [shift], [1 / 3] * 3, horizon=3)
-        result = infer_states(model, model.policies[0], [(2, 1)])
-        assert result.converged
+        observed = [(2, 1)]
+        result = infer_states(model, model.policies[0], observed)
+        for tau in range(1, model.horizon + 1):
+            oracle = helpers.exact_filter_marginal(model, model.policies[0], observed, tau)
+            assert np.abs(result.states[tau - 1].probs - oracle).max() < 1e-12
         assert np.allclose(result.states[1].probs, [0.0, 1.0, 0.0])
 
     def test_no_observations_is_pure_prediction(self):
@@ -150,7 +153,7 @@ class TestVfe:
             assert abs(f - oracle) < 1e-6
 
     def test_local_optimality_under_first_epoch_observation(self):
-        # with a single observation at the first timestep the converged beliefs
+        # with a single observation at the first timestep the filtered beliefs
         # are the global minimum, so no perturbation can lower the free energy
         rng = np.random.default_rng(37)
         for _ in range(10):
@@ -174,11 +177,10 @@ class TestVfe:
 
 
 class TestBmaBeliefs:
-    def _ensemble(self, states_list, weights, observed=()):
+    def _ensemble(self, states_list, weights):
         return BeliefEnsemble(
             per_policy_states=tuple(states_list),
             policy_posterior=Categorical(np.asarray(weights, dtype=np.float64)),
-            observed=tuple(observed),
         )
 
     def test_single_policy_identity(self):
@@ -203,11 +205,11 @@ class TestBmaBeliefs:
         with pytest.raises(ValueError, match="timestep"):
             bma_beliefs(ensemble, 2)
 
+    def test_one_belief_sequence_per_policy(self):
+        q = (Categorical(np.array([1.0, 0.0])),)
+        with pytest.raises(ValueError, match="one belief sequence per policy"):
+            self._ensemble([q], [0.5, 0.5])
+
     def test_mass_on_missing_beliefs_rejected(self):
         with pytest.raises(ValueError, match="posterior mass"):
             self._ensemble([None], [1.0])
-
-    def test_observed_must_increase(self):
-        q = (Categorical(np.array([1.0, 0.0])),)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            self._ensemble([q], [1.0], observed=((2, 0), (1, 0)))

@@ -431,6 +431,12 @@ class TestSelectAction:
         for a in range(4):
             assert abs((picks == a).mean() - 0.25) < 0.03
 
+    def test_zero_probability_actions_never_tie(self):
+        rng = np.random.default_rng(49)
+        marg = Categorical(np.array([0.0, 0.7, 0.0, 0.3]))
+        picks = {select_action(marg, rng, 2.0) for _ in range(200)}
+        assert picks == {1, 3}
+
     def test_deterministic_for_fixed_seed(self):
         marg = Categorical(np.full(4, 0.25))
         a = [select_action(marg, np.random.default_rng(123), 1e-9) for _ in range(5)]
