@@ -16,7 +16,7 @@ from .harness import (
     ExperimentConfig,
     _require_maze_shape,
     _resolve_model,
-    _sum_breakdowns,
+    _trial_rngs,
     emit_plot_data,
     run_experiment,
     run_trial,
@@ -24,15 +24,14 @@ from .harness import (
 )
 from .model import GenerativeModel, ModelSpecError, load_spec, validate
 from .numerics import normalize
-from .planning import ConfigurationError, ObjectiveKind, PlanContext, expected_free_energy
+from .planning import ConfigurationError, ObjectiveKind, PlanContext, score_policies
 from .tmaze import (
     ACTION_LABELS,
     CONTEXT_LABELS,
     OUTCOME_LABELS,
     TmazeEnv,
     build_tmaze_model,
-    context_at,
-    default_schedule,
+    default_context,
 )
 
 AGENT_NAMES = tuple(kind.value for kind in ObjectiveKind)
@@ -150,13 +149,9 @@ def _cmd_trial(args) -> int:
         raise UsageError(f"--trial must be >= 1, got {args.trial}")
     model = _resolve_model(config)
     _require_maze_shape(model)
-    schedule = default_schedule(max(args.trial, 50))
-    context = context_at(schedule, args.trial)
-    streams = np.random.SeedSequence(config.seed).spawn(2 * args.trial)
-    env = TmazeEnv(rng=np.random.default_rng(streams[2 * (args.trial - 1)]),
-                   reward_prob=config.reward_prob)
-    env.reset(context)
-    tie_rng = np.random.default_rng(streams[2 * (args.trial - 1) + 1])
+    env_rng, tie_rng = _trial_rngs(config.seed, args.trial)
+    env = TmazeEnv(rng=env_rng, reward_prob=config.reward_prob)
+    env.reset(default_context(args.trial))
     record = run_trial(model, env, config, tie_rng, trial=args.trial)
 
     print(f"trial {record.trial}: context={CONTEXT_LABELS[record.true_context]} "
@@ -202,17 +197,10 @@ def _cmd_decompose(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    objective = ObjectiveKind(args.agent)
-    g_values = []
-    sums = []
-    for policy in model.policies:
-        if policy.actions[: len(executed)] != executed:
-            g_values.append(math.nan)
-            sums.append(None)
-            continue
-        total, per_tau = expected_free_energy(model, q_now, policy, ctx, objective)
-        g_values.append(total)
-        sums.append(_sum_breakdowns(per_tau))
+    viable = [p for p in model.policies if p.actions[: len(executed)] == executed]
+    scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, ObjectiveKind(args.agent))))
+    g_values = [scores[p].total if p in scores else math.nan for p in model.policies]
+    sums = [scores[p].summed if p in scores else None for p in model.policies]
     print("\n".join(_breakdown_lines(model, g_values, sums)))
     return 0
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import BeliefEnsemble, bma_beliefs, infer_states
+from .inference import BeliefEnsemble, ImpossibleObservationError, bma_beliefs, infer_states
 from .model import GenerativeModel, ModelSpecError, load_spec, validate
 from .planning import (
     ConfigurationError,
@@ -24,9 +24,8 @@ from .planning import (
     ObjectiveKind,
     PlanContext,
     action_marginal,
-    expected_free_energy,
     policy_posterior,
-    predictive_states,
+    score_policies,
     select_action,
 )
 from .tmaze import (
@@ -35,8 +34,7 @@ from .tmaze import (
     LOCATION_LABELS,
     TmazeEnv,
     build_tmaze_model,
-    context_at,
-    default_schedule,
+    default_context,
     score_outcome,
 )
 
@@ -100,17 +98,6 @@ class ExperimentRecord:
     duration_seconds: float
 
 
-def _sum_breakdowns(parts: list[EfeBreakdown]) -> EfeBreakdown:
-    return EfeBreakdown(
-        risk_states=sum(p.risk_states for p in parts),
-        ambiguity=sum(p.ambiguity for p in parts),
-        intrinsic=sum(p.intrinsic for p in parts),
-        extrinsic=sum(p.extrinsic for p in parts),
-        evidence_bound=sum(p.evidence_bound for p in parts),
-        total=sum(p.total for p in parts),
-    )
-
-
 def run_trial(
     model: GenerativeModel,
     env: TmazeEnv,
@@ -135,31 +122,32 @@ def run_trial(
         viable = [i for i, pol in enumerate(policies) if pol.actions[: len(prefix)] == prefix]
         # Viable policies share the executed prefix, so they share its filtered
         # beliefs; they differ only in the predictions past the current epoch.
-        filtered = infer_states(model, policies[viable[0]], observed).states[:epoch]
-        beliefs: list[tuple | None] = [None] * len(policies)
-        for i in viable:
-            beliefs[i] = filtered + tuple(
-                predictive_states(model, filtered[-1], policies[i], epoch, tau)
-                for tau in range(epoch + 1, horizon + 1)
-            )
+        try:
+            filtered = infer_states(model, policies[viable[0]], observed).states[:epoch]
+        except ImpossibleObservationError as exc:
+            raise ImpossibleObservationError(str(exc), trial, epoch) from exc
 
         ctx = PlanContext(
             current_epoch=epoch,
             executed_actions=prefix,
             precision=config.precision,
-            tie_tolerance=config.tie_tolerance,
             prior_states_for_risk=prior,
         )
         g = np.full(len(policies), math.nan)
         breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
+        beliefs: list[tuple | None] = [None] * len(policies)
         if epoch < horizon:
-            for i in viable:
-                g[i], per_tau = expected_free_energy(
-                    model, filtered[-1], policies[i], ctx, config.agent
-                )
-                breakdowns[i] = _sum_breakdowns(per_tau)
+            scores = score_policies(
+                model, filtered[-1], [policies[i] for i in viable], ctx, config.agent
+            )
+            for i, scored in zip(viable, scores):
+                g[i] = scored.total
+                breakdowns[i] = scored.summed
+                beliefs[i] = filtered + scored.states
         else:
             g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
+            for i in viable:
+                beliefs[i] = filtered
 
         post = policy_posterior(g, policies, ctx)
         ensemble = BeliefEnsemble(per_policy_states=tuple(beliefs), policy_posterior=post)
@@ -226,24 +214,31 @@ def _require_maze_shape(model: GenerativeModel) -> None:
         )
 
 
+def _trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """(environment, tie-break) generators of a 1-based trial.
+
+    They are children 2(trial-1) and 2(trial-1)+1 of the master seed, the
+    same streams SeedSequence(seed).spawn makes, built without spawning the
+    children of earlier trials.
+    """
+    first = 2 * (trial - 1)
+    return (
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first,))),
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first + 1,))),
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Run the scheduled trials; fully deterministic for a given config."""
     start = time.perf_counter()
     model = _resolve_model(config)
     _require_maze_shape(model)
-    schedule = default_schedule(config.trials)
-    streams = np.random.SeedSequence(config.seed).spawn(2 * config.trials)
-
     records: list[TrialRecord] = []
     cumulative = 0
-    for index in range(config.trials):
-        trial = index + 1
-        env = TmazeEnv(
-            rng=np.random.default_rng(streams[2 * index]),
-            reward_prob=config.reward_prob,
-        )
-        env.reset(context_at(schedule, trial))
-        tie_rng = np.random.default_rng(streams[2 * index + 1])
+    for trial in range(1, config.trials + 1):
+        env_rng, tie_rng = _trial_rngs(config.seed, trial)
+        env = TmazeEnv(rng=env_rng, reward_prob=config.reward_prob)
+        env.reset(default_context(trial))
         record = run_trial(
             model, env, config, tie_rng, trial=trial, cumulative_before=cumulative
         )

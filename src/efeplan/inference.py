@@ -16,8 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GenerativeModel, Policy
+from .model import GenerativeModel, ModelSpecError, Policy
 from .numerics import Categorical, clamped_log
+
+
+class ImpossibleObservationError(ModelSpecError):
+    """An observed outcome has zero probability under the model.
+
+    The model contradicts the process that produced the observation. trial
+    and epoch locate it when it arose in a closed-loop trial.
+    """
+
+    def __init__(self, message: str, trial: int | None = None, epoch: int | None = None):
+        super().__init__(message if trial is None else f"trial {trial}, epoch {epoch}: {message}")
+        self.trial = trial
+        self.epoch = epoch
 
 
 @dataclass(frozen=True)
@@ -77,7 +90,7 @@ def infer_states(model: GenerativeModel, policy: Policy, observed) -> InferenceR
             weighted = model.likelihood[obs_map[tau]] * pred
             total = weighted.sum()
             if total <= 0.0:
-                raise ValueError(
+                raise ImpossibleObservationError(
                     f"outcome {obs_map[tau]} at timestep {tau} has zero probability "
                     f"under policy {policy.actions}"
                 )

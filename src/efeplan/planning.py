@@ -12,7 +12,8 @@ the actions already executed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -60,12 +61,11 @@ class EfeBreakdown:
 
 @dataclass(frozen=True)
 class PlanContext:
-    """Where the planner stands: epoch, history, and selection parameters."""
+    """Where the planner stands: epoch, history, precision and risk prior."""
 
     current_epoch: int
     executed_actions: tuple[int, ...] = ()
     precision: float = 1.0
-    tie_tolerance: float = 1e-9
     prior_states_for_risk: Categorical | None = None
 
     def __post_init__(self):
@@ -119,19 +119,43 @@ def ambiguity(q_s: Categorical, likelihood: np.ndarray) -> float:
         raise ValueError(
             f"likelihood has {likelihood.shape[1]} state columns, belief has {len(q_s)}"
         )
-    column_entropies = np.where(
+    return float(q_s.probs @ _column_entropies(likelihood))
+
+
+def _column_entropies(likelihood: np.ndarray) -> np.ndarray:
+    """Outcome entropy of each likelihood column, with 0*log(0) := 0."""
+    return np.where(
         likelihood > 0.0, -likelihood * np.log(np.where(likelihood > 0.0, likelihood, 1.0)), 0.0
     ).sum(axis=0)
-    return float(q_s.probs @ column_entropies)
 
 
-def _outcome_conditioned_posteriors(q_s: np.ndarray, likelihood: np.ndarray):
-    """Yield (outcome probability, posterior over states) for outcomes with mass."""
-    q_o = likelihood @ q_s
+def _expected_posterior_divergence(
+    q_s: np.ndarray, likelihood: np.ndarray, q_o: np.ndarray, log_ref: np.ndarray
+) -> float:
+    """sum over outcomes o with mass of q_o[o] * KL[P(s | o) under q_s || ref_o].
+
+    q_o is likelihood @ q_s; row o of log_ref holds log ref_o.
+    """
+    total = 0.0
     for o in range(likelihood.shape[0]):
         if q_o[o] <= 0.0:
             continue
-        yield float(q_o[o]), likelihood[o] * q_s / q_o[o]
+        post = likelihood[o] * q_s / q_o[o]
+        mask = post > 0.0
+        total += float(q_o[o]) * float(
+            (post[mask] * (np.log(post[mask]) - log_ref[o][mask])).sum()
+        )
+    return total
+
+
+def _check_info_gain(gain: float, q_s: np.ndarray, likelihood: np.ndarray,
+                     q_o: np.ndarray) -> None:
+    """Assert that gain equals the expected posterior-update divergence."""
+    log_q = np.log(np.where(q_s > 0.0, q_s, 1.0))
+    by_update = _expected_posterior_divergence(
+        q_s, likelihood, q_o, np.broadcast_to(log_q, likelihood.shape)
+    )
+    assert abs(gain - by_update) < 1e-12, (gain, by_update)
 
 
 def expected_info_gain(q_s: Categorical, likelihood: np.ndarray) -> float:
@@ -142,14 +166,7 @@ def expected_info_gain(q_s: Categorical, likelihood: np.ndarray) -> float:
     """
     gain = entropy(predictive_outcome(q_s, likelihood)) - ambiguity(q_s, likelihood)
     if __debug__:
-        q = q_s.probs
-        by_update = 0.0
-        for p_o, post in _outcome_conditioned_posteriors(q, likelihood):
-            mask = post > 0.0
-            by_update += p_o * float(
-                (post[mask] * (np.log(post[mask]) - np.log(q[mask]))).sum()
-            )
-        assert abs(gain - by_update) < 1e-12, (gain, by_update)
+        _check_info_gain(gain, q_s.probs, likelihood, likelihood @ q_s.probs)
     return gain
 
 
@@ -160,6 +177,142 @@ def extrinsic_value(q_o: Categorical, preferences: np.ndarray) -> float:
             f"preferences has shape {preferences.shape}, expected ({len(q_o)},)"
         )
     return float(q_o.probs @ (preferences - log_sum_exp(preferences)))
+
+
+@dataclass(frozen=True)
+class PolicyScore:
+    """One policy scored over the remaining horizon.
+
+    breakdowns[k] and states[k] belong to timestep current_epoch + 1 + k.
+    """
+
+    total: float                          # G, the summed score; lower is better
+    breakdowns: tuple[EfeBreakdown, ...]
+    states: tuple[Categorical, ...]       # predicted Q(s_tau | policy)
+
+    @property
+    def summed(self) -> EfeBreakdown:
+        """Every component summed over the remaining horizon; total is G."""
+        parts = self.breakdowns
+        return EfeBreakdown(
+            risk_states=sum(p.risk_states for p in parts),
+            ambiguity=sum(p.ambiguity for p in parts),
+            intrinsic=sum(p.intrinsic for p in parts),
+            extrinsic=sum(p.extrinsic for p in parts),
+            evidence_bound=sum(p.evidence_bound for p in parts),
+            total=sum(p.total for p in parts),
+        )
+
+
+class _TimestepKernel:
+    """Scores one predicted state belief, with the model's constants computed once.
+
+    The arithmetic matches the public term functions (predictive_outcome,
+    expected_info_gain, extrinsic_value, ambiguity, risk_states) operation for
+    operation, so scores are bitwise equal to composing them.
+    """
+
+    def __init__(self, model: GenerativeModel, prior: Categorical | None,
+                 objective: ObjectiveKind):
+        likelihood = model.likelihood
+        self.likelihood = likelihood
+        self.objective = objective
+        self.column_entropies = _column_entropies(likelihood)
+        self.log_preferences = model.preferences - log_sum_exp(model.preferences)
+        self.prior = prior
+        if prior is not None:
+            self.log_prior = clamped_log(prior.probs)
+            p_o = likelihood @ prior.probs
+            # log P(s | o) under the reference prior, one row per outcome
+            self.log_prior_posteriors = np.stack([
+                clamped_log(likelihood[o] * prior.probs / p_o[o] if p_o[o] > 0.0
+                            else np.zeros_like(prior.probs))
+                for o in range(likelihood.shape[0])
+            ])
+
+    def __call__(self, q: np.ndarray) -> EfeBreakdown:
+        q_o = self.likelihood @ q
+        p_o = q_o / q_o.sum()
+        ambig = float(q @ self.column_entropies)
+        has_mass = p_o > 0.0
+        intrinsic = float(-(p_o[has_mass] * np.log(p_o[has_mass])).sum()) - ambig
+        if __debug__:
+            _check_info_gain(intrinsic, q, self.likelihood, q_o)
+        extrinsic = float(p_o @ self.log_preferences)
+        if self.prior is not None:
+            mask = q > 0.0
+            risk = float((q[mask] * (np.log(q[mask]) - self.log_prior[mask])).sum())
+            bound = _expected_posterior_divergence(
+                q, self.likelihood, q_o, self.log_prior_posteriors
+            )
+        else:
+            risk = math.nan
+            bound = math.nan
+
+        objective = self.objective
+        if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
+            score = -intrinsic - extrinsic
+        elif objective is ObjectiveKind.INFO_GAIN_ONLY:
+            score = -intrinsic
+        elif objective is ObjectiveKind.EXPECTED_UTILITY_OUTCOMES:
+            score = -extrinsic
+        elif objective is ObjectiveKind.EXPECTED_UTILITY_STATES:
+            score = -float(q @ self.log_prior)
+        else:  # RISK_ONLY
+            score = risk
+        return EfeBreakdown(
+            risk_states=risk,
+            ambiguity=ambig,
+            intrinsic=intrinsic,
+            extrinsic=extrinsic,
+            evidence_bound=bound,
+            total=score,
+        )
+
+
+def score_policies(
+    model: GenerativeModel,
+    q_now: Categorical,
+    policies: Sequence[Policy],
+    plan_ctx: PlanContext,
+    objective: ObjectiveKind,
+) -> list[PolicyScore]:
+    """Score each policy over the remaining horizon, one PolicyScore per policy.
+
+    Policies that share actions after the current epoch share predictions:
+    the scorer walks the tree of remaining-action prefixes and predicts and
+    scores each distinct prefix once. Every component is populated regardless
+    of objective.
+    """
+    t = plan_ctx.current_epoch
+    if t >= model.horizon:
+        raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
+    prior = plan_ctx.prior_states_for_risk
+    if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and prior is None:
+        raise ConfigurationError(
+            f"objective {objective.value} requires prior_states_for_risk in the plan context"
+        )
+
+    kernel = _TimestepKernel(model, prior, objective)
+    # remaining-action prefix -> (unnormalised rollout, predicted belief, breakdown)
+    nodes: dict[tuple[int, ...], tuple] = {(): (q_now.probs, None, None)}
+    scores: list[PolicyScore] = []
+    for policy in policies:
+        rest = policy.actions[t - 1:]
+        path = [nodes[()]]
+        for k in range(1, len(rest) + 1):
+            if rest[:k] not in nodes:
+                raw = model.transitions[rest[k - 1]] @ path[-1][0]
+                q_s = Categorical(raw / raw.sum())
+                nodes[rest[:k]] = (raw, q_s, kernel(q_s.probs))
+            path.append(nodes[rest[:k]])
+        parts = tuple(node[2] for node in path[1:])
+        scores.append(PolicyScore(
+            total=sum(part.total for part in parts),
+            breakdowns=parts,
+            states=tuple(node[1] for node in path[1:]),
+        ))
+    return scores
 
 
 def expected_free_energy(
@@ -174,74 +327,8 @@ def expected_free_energy(
     Returns the summed score (lower is better) and a per-future-timestep
     breakdown with every component populated regardless of objective.
     """
-    t = plan_ctx.current_epoch
-    if t >= model.horizon:
-        raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
-    prior = plan_ctx.prior_states_for_risk
-    if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and prior is None:
-        raise ConfigurationError(
-            f"objective {objective.value} requires prior_states_for_risk in the plan context"
-        )
-
-    breakdowns: list[EfeBreakdown] = []
-    total = 0.0
-    for tau in range(t + 1, model.horizon + 1):
-        q_s = predictive_states(model, q_now, policy, t, tau)
-        q_o = predictive_outcome(q_s, model.likelihood)
-        intrinsic = expected_info_gain(q_s, model.likelihood)
-        extrinsic = extrinsic_value(q_o, model.preferences)
-        ambig = ambiguity(q_s, model.likelihood)
-        if prior is not None:
-            risk = risk_states(q_s, prior)
-            bound = _expected_evidence_bound(q_s.probs, model.likelihood, prior.probs)
-        else:
-            risk = math.nan
-            bound = math.nan
-
-        if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
-            score = -intrinsic - extrinsic
-        elif objective is ObjectiveKind.INFO_GAIN_ONLY:
-            score = -intrinsic
-        elif objective is ObjectiveKind.EXPECTED_UTILITY_OUTCOMES:
-            score = -extrinsic
-        elif objective is ObjectiveKind.EXPECTED_UTILITY_STATES:
-            score = -float(q_s.probs @ clamped_log(prior.probs))
-        else:  # RISK_ONLY
-            score = risk_states(q_s, prior)
-
-        breakdowns.append(
-            EfeBreakdown(
-                risk_states=risk,
-                ambiguity=ambig,
-                intrinsic=intrinsic,
-                extrinsic=extrinsic,
-                evidence_bound=bound,
-                total=score,
-            )
-        )
-        total += score
-    return total, breakdowns
-
-
-def _expected_evidence_bound(q_s: np.ndarray, likelihood: np.ndarray, prior_s: np.ndarray) -> float:
-    """E over predicted outcomes of KL[state posterior under q_s || state
-    posterior under the reference prior]."""
-    p_o_prior = likelihood @ prior_s
-    total = 0.0
-    q_o = likelihood @ q_s
-    for o in range(likelihood.shape[0]):
-        if q_o[o] <= 0.0:
-            continue
-        post_q = likelihood[o] * q_s / q_o[o]
-        if p_o_prior[o] > 0.0:
-            post_prior = likelihood[o] * prior_s / p_o_prior[o]
-        else:
-            post_prior = np.zeros_like(prior_s)
-        mask = post_q > 0.0
-        total += float(q_o[o]) * float(
-            (post_q[mask] * (np.log(post_q[mask]) - clamped_log(post_prior[mask]))).sum()
-        )
-    return total
+    [scored] = score_policies(model, q_now, [policy], plan_ctx, objective)
+    return scored.total, list(scored.breakdowns)
 
 
 def policy_posterior(
@@ -319,19 +406,13 @@ def evidence_bound_diagnostic(
     """
     if prior_states is None:
         raise ConfigurationError("evidence_bound_diagnostic requires prior_states")
-    t = plan_ctx.current_epoch
-    if t >= model.horizon:
-        raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
-    rows: list[tuple[float, float, float]] = []
-    p_o = model.likelihood @ prior_states.probs
-    for tau in range(t + 1, model.horizon + 1):
-        q_s = predictive_states(model, q_now, policy, t, tau)
-        info_gain = expected_info_gain(q_s, model.likelihood)
-        q_o = model.likelihood @ q_s.probs
-        expected_log_evidence = float(q_o @ clamped_log(p_o))
-        bound = _expected_evidence_bound(q_s.probs, model.likelihood, prior_states.probs)
-        rows.append((info_gain, expected_log_evidence, bound))
-    return rows
+    ctx = replace(plan_ctx, prior_states_for_risk=prior_states)
+    [scored] = score_policies(model, q_now, [policy], ctx, ObjectiveKind.EXPECTED_FREE_ENERGY)
+    log_p_o = clamped_log(model.likelihood @ prior_states.probs)
+    return [
+        (part.intrinsic, float((model.likelihood @ q_s.probs) @ log_p_o), part.evidence_bound)
+        for part, q_s in zip(scored.breakdowns, scored.states)
+    ]
 
 
 def state_outcome_utility_comparison(

@@ -139,12 +139,14 @@ class ContextSchedule:
         return len(self.contexts)
 
 
+def default_context(trial: int) -> int:
+    """Context of a 1-based trial: black on trials 10-12 and trial 30, white elsewhere."""
+    return BLACK if 10 <= trial <= 12 or trial == 30 else WHITE
+
+
 def default_schedule(trials: int = 50) -> ContextSchedule:
-    """Black on trials 10-12 and trial 30; white everywhere else."""
-    return ContextSchedule(tuple(
-        BLACK if 10 <= trial <= 12 or trial == 30 else WHITE
-        for trial in range(1, trials + 1)
-    ))
+    """The default context of trials 1..trials."""
+    return ContextSchedule(tuple(default_context(trial) for trial in range(1, trials + 1)))
 
 
 def context_at(schedule: ContextSchedule, trial: int) -> int:

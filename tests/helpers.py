@@ -3,16 +3,28 @@
 Everything here is deliberately brute force: evidence and posteriors come
 from enumeration over full state sequences, information quantities from
 explicit outcome loops. None of it shares code with the package paths it
-checks.
+checks: reference_scores composes the public per-term functions, not the
+policy scorer it is compared with.
 """
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from efeplan.model import GenerativeModel, Policy, PolicySet
-from efeplan.numerics import Categorical
+from efeplan.numerics import Categorical, clamped_log
+from efeplan.planning import (
+    EfeBreakdown,
+    ObjectiveKind,
+    ambiguity,
+    expected_info_gain,
+    extrinsic_value,
+    predictive_outcome,
+    predictive_states,
+    risk_states,
+)
 
 
 def joint_probability(model: GenerativeModel, policy: Policy, states, obs_map) -> float:
@@ -84,13 +96,19 @@ def full_score_by_enumeration(q_s: np.ndarray, likelihood: np.ndarray,
 
 
 def random_model(rng: np.random.Generator, *, max_states: int = 6, max_outcomes: int = 6,
-                 max_actions: int = 4, max_horizon: int = 3,
-                 deterministic_likelihood: bool = False) -> GenerativeModel:
-    """A valid random model with strictly positive B and D (A optionally delta columns)."""
+                 max_actions: int = 4, min_horizon: int = 1, max_horizon: int = 3,
+                 deterministic_likelihood: bool = False, all_policies: bool = False,
+                 risk_prior: bool = False) -> GenerativeModel:
+    """A valid random model with strictly positive B and D (A optionally delta columns).
+
+    all_policies takes the full |U|^(T-1) policy set instead of at most four
+    random policies. risk_prior adds a risk_state_prior with some entries
+    zeroed, so outcomes the prior rules out occur.
+    """
     n_s = int(rng.integers(2, max_states + 1))
     n_o = int(rng.integers(2, max_outcomes + 1))
     n_u = int(rng.integers(1, max_actions + 1))
-    horizon = int(rng.integers(1, max_horizon + 1))
+    horizon = int(rng.integers(min_horizon, max_horizon + 1))
     if deterministic_likelihood:
         likelihood = np.zeros((n_o, n_s))
         for s in range(n_s):
@@ -101,12 +119,20 @@ def random_model(rng: np.random.Generator, *, max_states: int = 6, max_outcomes:
     preferences = rng.normal(size=n_o)
     prior = rng.dirichlet(np.ones(n_s))
 
-    policies, seen = [], set()
-    for _ in range(int(rng.integers(1, 5))):
-        actions = tuple(int(a) for a in rng.integers(0, n_u, size=horizon - 1))
-        if actions not in seen:
-            seen.add(actions)
-            policies.append(Policy(actions))
+    if all_policies:
+        policies = [Policy(a) for a in itertools.product(range(n_u), repeat=horizon - 1)]
+    else:
+        policies, seen = [], set()
+        for _ in range(int(rng.integers(1, 5))):
+            actions = tuple(int(a) for a in rng.integers(0, n_u, size=horizon - 1))
+            if actions not in seen:
+                seen.add(actions)
+                policies.append(Policy(actions))
+    risk_state_prior = None
+    if risk_prior:
+        weights = rng.dirichlet(np.ones(n_s)) * (rng.random(n_s) < 0.7)
+        weights[rng.integers(0, n_s)] += 0.1
+        risk_state_prior = Categorical(weights / weights.sum())
     return GenerativeModel(
         num_states=n_s,
         num_outcomes=n_o,
@@ -117,6 +143,7 @@ def random_model(rng: np.random.Generator, *, max_states: int = 6, max_outcomes:
         preferences=preferences,
         state_prior=Categorical(prior),
         policies=PolicySet(tuple(policies)),
+        risk_state_prior=risk_state_prior,
     )
 
 
@@ -138,3 +165,70 @@ def sample_observations(rng: np.random.Generator, model: GenerativeModel,
 
 def random_categorical(rng: np.random.Generator, n: int) -> Categorical:
     return Categorical(rng.dirichlet(np.ones(n)))
+
+
+def evidence_bound_by_outcome_loop(q_s: np.ndarray, likelihood: np.ndarray,
+                                   prior_s: np.ndarray) -> float:
+    """E over predicted outcomes of KL[state posterior under q_s || state
+    posterior under the reference prior], one outcome at a time."""
+    p_o_prior = likelihood @ prior_s
+    total = 0.0
+    q_o = likelihood @ q_s
+    for o in range(likelihood.shape[0]):
+        if q_o[o] <= 0.0:
+            continue
+        post_q = likelihood[o] * q_s / q_o[o]
+        if p_o_prior[o] > 0.0:
+            post_prior = likelihood[o] * prior_s / p_o_prior[o]
+        else:
+            post_prior = np.zeros_like(prior_s)
+        mask = post_q > 0.0
+        total += float(q_o[o]) * float(
+            (post_q[mask] * (np.log(post_q[mask]) - clamped_log(post_prior[mask]))).sum()
+        )
+    return total
+
+
+def reference_scores(model: GenerativeModel, q_now: Categorical, policies, plan_ctx,
+                     objective: ObjectiveKind):
+    """(G, per-timestep breakdowns, predicted beliefs) for each policy, scoring
+    every (policy, timestep) pair on its own from predictive_states and the
+    public term functions: no prefix is shared and no constant is hoisted.
+    The arithmetic is that of the planner's per-timestep kernel, so results
+    compare exactly."""
+    t = plan_ctx.current_epoch
+    prior = plan_ctx.prior_states_for_risk
+    results = []
+    for policy in policies:
+        total, parts, states = 0.0, [], []
+        for tau in range(t + 1, model.horizon + 1):
+            q_s = predictive_states(model, q_now, policy, t, tau)
+            q_o = predictive_outcome(q_s, model.likelihood)
+            intrinsic = expected_info_gain(q_s, model.likelihood)
+            extrinsic = extrinsic_value(q_o, model.preferences)
+            risk, bound = math.nan, math.nan
+            if prior is not None:
+                risk = risk_states(q_s, prior)
+                bound = evidence_bound_by_outcome_loop(q_s.probs, model.likelihood, prior.probs)
+            if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
+                score = -intrinsic - extrinsic
+            elif objective is ObjectiveKind.INFO_GAIN_ONLY:
+                score = -intrinsic
+            elif objective is ObjectiveKind.EXPECTED_UTILITY_OUTCOMES:
+                score = -extrinsic
+            elif objective is ObjectiveKind.EXPECTED_UTILITY_STATES:
+                score = -float(q_s.probs @ clamped_log(prior.probs))
+            else:  # RISK_ONLY
+                score = risk_states(q_s, prior)
+            parts.append(EfeBreakdown(
+                risk_states=risk,
+                ambiguity=ambiguity(q_s, model.likelihood),
+                intrinsic=intrinsic,
+                extrinsic=extrinsic,
+                evidence_bound=bound,
+                total=score,
+            ))
+            states.append(q_s)
+            total += score
+        results.append((total, parts, states))
+    return results

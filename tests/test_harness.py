@@ -1,6 +1,8 @@
 """Trial loop, experiment driver, persistence, and CLI parsing."""
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,15 @@ import helpers
 from efeplan.cli import UsageError, config_from_args, main, parse_cli
 from efeplan.harness import (
     ExperimentConfig,
+    _trial_rngs,
     build_tables,
     emit_plot_data,
     run_experiment,
     run_trial,
     write_records,
 )
-from efeplan.inference import infer_states
-from efeplan.model import GenerativeModel, Policy, PolicySet, save_spec
+from efeplan.inference import ImpossibleObservationError, infer_states
+from efeplan.model import GenerativeModel, ModelSpecError, Policy, PolicySet, save_spec
 from efeplan.numerics import Categorical
 from efeplan.planning import ObjectiveKind
 from efeplan.tmaze import BLACK, WHITE, build_tmaze_model, score_outcome
@@ -43,6 +46,21 @@ class _ModelEnv:
         self.state = self.rng.choice(self.model.num_states,
                                      p=self.model.transitions[action][:, self.state])
         return self.observe()
+
+
+def _save_contradicting_maze(path) -> None:
+    """The maze with a likelihood that gives the black cue's outcome zero
+    probability at the black cue location, which the environment still emits."""
+    maze = build_tmaze_model()
+    likelihood = maze.likelihood.copy()
+    likelihood[5, 7], likelihood[6, 7] = 1.0, 0.0
+    fields = {name: getattr(maze, name) for name in maze.__dataclass_fields__}
+    save_spec(GenerativeModel(**{**fields, "likelihood": likelihood}), path)
+
+
+RUN_OUT_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "run_out_sha256.json").read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +142,25 @@ class TestRunTrial:
             previous = trial.cumulative_score
 
 
+    def test_impossible_observation_names_trial_and_epoch(self, tmp_path):
+        _save_contradicting_maze(tmp_path / "contradicting.json")
+        config = _config(trials=12, model_path=str(tmp_path / "contradicting.json"))
+        with pytest.raises(ImpossibleObservationError, match="trial 12, epoch 2") as info:
+            run_experiment(config)
+        assert isinstance(info.value, ModelSpecError)
+        assert (info.value.trial, info.value.epoch) == (12, 2)
+
+
 class TestRunExperiment:
+    def test_trial_rngs_match_spawned_children(self):
+        for seed in (0, 1, 7919, 2**40 + 3):
+            for trial in (1, 2, 13, 50):
+                children = np.random.SeedSequence(seed).spawn(2 * trial)
+                expected = [np.random.default_rng(children[2 * (trial - 1) + j]).random(4)
+                            for j in (0, 1)]
+                got = [rng.random(4) for rng in _trial_rngs(seed, trial)]
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (seed, trial)
+
     def test_schedule_is_applied(self, efe_record):
         for trial in efe_record.trials:
             expected = BLACK if 10 <= trial.trial <= 12 or trial.trial == 30 else WHITE
@@ -238,6 +274,17 @@ class TestWriteRecords:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+    @pytest.mark.parametrize("key", sorted(RUN_OUT_SHA256))
+    def test_run_out_files_match_goldens(self, key, tmp_path, capsys):
+        agent, seed, fmt = key.split("/")
+        argv = ["run", "--agent", agent, "--seed", seed, "--out", str(tmp_path), "--format", fmt]
+        assert main(argv) == 0
+        capsys.readouterr()
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(tmp_path.iterdir())}
+        assert digests == RUN_OUT_SHA256[key]
+
+
 class TestEmitPlotData:
     def test_first_trial_matrices(self, efe_record, tmp_path):
         emit_plot_data(efe_record, tmp_path)
@@ -294,6 +341,7 @@ class TestParseCli:
             parse_cli(["run", "--trials", "many"])
 
     def test_main_exit_codes(self, tmp_path, capsys):
+        _save_contradicting_maze(tmp_path / "contradicting.json")
         two_state = tmp_path / "two_state.json"
         save_spec(GenerativeModel(
             num_states=2, num_outcomes=2, num_actions=1, horizon=3,
@@ -311,6 +359,7 @@ class TestParseCli:
             (["decompose", "--beliefs", "1,2"], 1),
             (["run", "--agent", "eu-states", "--trials", "1"], 2),
             (["trial", "--model", str(two_state)], 2),
+            (["run", "--model", str(tmp_path / "contradicting.json"), "--trials", "12"], 2),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]
         for argv, code in table:
@@ -328,6 +377,7 @@ class TestParseCli:
 
     def test_main_trial_and_decompose_succeed(self, capsys):
         assert main(["trial", "--agent", "eu", "--seed", "0"]) == 0
+        assert main(["trial", "--trial", "1000000"]) == 0
         assert main(["decompose", "--agent", "efe"]) == 0
         out = capsys.readouterr().out
         assert "policy" in out

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from efeplan.inference import infer_states
@@ -22,6 +24,7 @@ from efeplan.planning import (
     predictive_outcome,
     predictive_states,
     risk_states,
+    score_policies,
     select_action,
     state_outcome_utility_comparison,
 )
@@ -313,6 +316,34 @@ class TestExpectedFreeEnergy:
         with pytest.raises(ValueError, match="no future"):
             expected_free_energy(model, model.state_prior, model.policies[7], ctx,
                                  ObjectiveKind.EXPECTED_FREE_ENERGY)
+
+
+class TestScorePolicies:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), objective=st.sampled_from(ObjectiveKind),
+           deterministic=st.booleans(), data=st.data())
+    def test_matches_per_policy_reference(self, seed, objective, deterministic, data):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(
+            rng, max_states=6, max_outcomes=5, max_actions=3, min_horizon=2, max_horizon=5,
+            deterministic_likelihood=deterministic, all_policies=True, risk_prior=True,
+        )
+        epoch = data.draw(st.integers(1, model.horizon - 1), label="epoch")
+        executed = data.draw(st.sampled_from(model.policies.policies)).actions[: epoch - 1]
+        ctx = PlanContext(current_epoch=epoch, executed_actions=executed,
+                          prior_states_for_risk=model.risk_state_prior)
+        viable = [p for p in model.policies if p.actions[: epoch - 1] == executed]
+        q_now = helpers.random_categorical(rng, model.num_states)
+
+        got = score_policies(model, q_now, viable, ctx, objective)
+        want = helpers.reference_scores(model, q_now, viable, ctx, objective)
+        assert len(got) == len(want) == len(viable)
+        for scored, (total, parts, states) in zip(got, want):
+            assert scored.total == total
+            assert list(scored.breakdowns) == parts
+            assert len(scored.states) == len(states)
+            for a, b in zip(scored.states, states):
+                assert np.array_equal(a.probs, b.probs)
 
 
 class TestPolicyPosterior:
