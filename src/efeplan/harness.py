@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"tie_tolerance must be a nonnegative real, got {self.tie_tolerance!r}"
             )
+        if not 0.0 <= self.reward_prob <= 1.0:
+            raise ValueError(f"reward_prob must lie in [0, 1], got {self.reward_prob!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
 
@@ -152,15 +154,14 @@ def run_trial(
         post = policy_posterior(g, policies, ctx)
         ensemble = BeliefEnsemble(per_policy_states=tuple(beliefs), policy_posterior=post)
         bma_states = tuple(
-            tuple(float(x) for x in bma_beliefs(ensemble, tau).probs)
-            for tau in range(1, horizon + 1)
+            tuple(bma_beliefs(ensemble, tau).probs.tolist()) for tau in range(1, horizon + 1)
         )
 
         action = None
         marginal = None
         if epoch < horizon:
             marg = action_marginal(post, policies, epoch, model.num_actions)
-            marginal = tuple(float(x) for x in marg.probs)
+            marginal = tuple(marg.probs.tolist())
             action = select_action(marg, rng, config.tie_tolerance)
             executed.append(action)
             observations.append(env.step(action))
@@ -171,9 +172,9 @@ def run_trial(
                 observation=observed[-1][1],
                 action=action,
                 action_marginal=marginal,
-                policy_posterior=tuple(float(x) for x in post.probs),
+                policy_posterior=tuple(post.probs.tolist()),
                 bma_states=bma_states,
-                g_values=tuple(float(x) for x in g),
+                g_values=tuple(g.tolist()),
                 breakdowns=tuple(breakdowns),
             )
         )

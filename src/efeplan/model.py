@@ -86,7 +86,20 @@ class GenerativeModel:
         object.__setattr__(self, "preferences", _readonly(self.preferences))
 
 
+def _check_finite(name: str, array: np.ndarray, violations: list[str]) -> bool:
+    finite = np.isfinite(array)
+    if finite.all():
+        return True
+    where = tuple(int(i) for i in np.argwhere(~finite)[0])
+    violations.append(
+        f"{name} entry {list(where)} is {float(array[where])!r}, expected a finite number"
+    )
+    return False
+
+
 def _check_columns(name: str, matrix: np.ndarray, violations: list[str]) -> None:
+    if not _check_finite(name, matrix, violations):
+        return
     for col in range(matrix.shape[1]):
         column = matrix[:, col]
         if np.any(column < 0.0):
@@ -128,6 +141,8 @@ def validate(model: GenerativeModel) -> list[str]:
         v.append(
             f"preferences has length {model.preferences.shape}, expected {model.num_outcomes}"
         )
+    else:
+        _check_finite("preferences", model.preferences, v)
     if len(model.state_prior) != model.num_states:
         v.append(f"state prior has length {len(model.state_prior)}, expected {model.num_states}")
     if model.risk_state_prior is not None and len(model.risk_state_prior) != model.num_states:
@@ -240,8 +255,12 @@ def load_spec(path) -> GenerativeModel:
 
     risk_prior = None
     if doc.get("risk_state_prior") is not None:
-        risk_prior = Categorical(_require_vector("risk_state_prior", doc["risk_state_prior"],
-                                                 n_s, nonnegative=True))
+        raw_risk = _require_vector("risk_state_prior", doc["risk_state_prior"], n_s,
+                                   nonnegative=True)
+        try:
+            risk_prior = Categorical(raw_risk)
+        except ValueError as exc:
+            raise ModelSpecError(f"risk_state_prior is not a valid distribution: {exc}") from exc
 
     try:
         state_prior = Categorical(d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,15 +47,14 @@ class ObjectiveKind(Enum):
 class EfeBreakdown:
     """Score components for one (policy, timestep), all in nats.
 
-    risk_states and evidence_bound need a reference state prior; they are NaN
-    when the plan context does not provide one.
+    risk_states needs a reference state prior; it is NaN when the plan context
+    does not provide one.
     """
 
     risk_states: float
     ambiguity: float
     intrinsic: float
     extrinsic: float
-    evidence_bound: float
     total: float
 
 
@@ -148,26 +147,12 @@ def _expected_posterior_divergence(
     return total
 
 
-def _check_info_gain(gain: float, q_s: np.ndarray, likelihood: np.ndarray,
-                     q_o: np.ndarray) -> None:
-    """Assert that gain equals the expected posterior-update divergence."""
-    log_q = np.log(np.where(q_s > 0.0, q_s, 1.0))
-    by_update = _expected_posterior_divergence(
-        q_s, likelihood, q_o, np.broadcast_to(log_q, likelihood.shape)
-    )
-    assert abs(gain - by_update) < 1e-12, (gain, by_update)
-
-
 def expected_info_gain(q_s: Categorical, likelihood: np.ndarray) -> float:
     """Mutual information between states and outcomes under the predictive joint.
 
-    Computed as predicted-outcome entropy minus ambiguity; asserts agreement
-    with the expected posterior-update divergence when assertions are enabled.
+    Computed as predicted-outcome entropy minus ambiguity.
     """
-    gain = entropy(predictive_outcome(q_s, likelihood)) - ambiguity(q_s, likelihood)
-    if __debug__:
-        _check_info_gain(gain, q_s.probs, likelihood, likelihood @ q_s.probs)
-    return gain
+    return entropy(predictive_outcome(q_s, likelihood)) - ambiguity(q_s, likelihood)
 
 
 def extrinsic_value(q_o: Categorical, preferences: np.ndarray) -> float:
@@ -199,7 +184,6 @@ class PolicyScore:
             ambiguity=sum(p.ambiguity for p in parts),
             intrinsic=sum(p.intrinsic for p in parts),
             extrinsic=sum(p.extrinsic for p in parts),
-            evidence_bound=sum(p.evidence_bound for p in parts),
             total=sum(p.total for p in parts),
         )
 
@@ -222,13 +206,6 @@ class _TimestepKernel:
         self.prior = prior
         if prior is not None:
             self.log_prior = clamped_log(prior.probs)
-            p_o = likelihood @ prior.probs
-            # log P(s | o) under the reference prior, one row per outcome
-            self.log_prior_posteriors = np.stack([
-                clamped_log(likelihood[o] * prior.probs / p_o[o] if p_o[o] > 0.0
-                            else np.zeros_like(prior.probs))
-                for o in range(likelihood.shape[0])
-            ])
 
     def __call__(self, q: np.ndarray) -> EfeBreakdown:
         q_o = self.likelihood @ q
@@ -236,18 +213,12 @@ class _TimestepKernel:
         ambig = float(q @ self.column_entropies)
         has_mass = p_o > 0.0
         intrinsic = float(-(p_o[has_mass] * np.log(p_o[has_mass])).sum()) - ambig
-        if __debug__:
-            _check_info_gain(intrinsic, q, self.likelihood, q_o)
         extrinsic = float(p_o @ self.log_preferences)
         if self.prior is not None:
             mask = q > 0.0
             risk = float((q[mask] * (np.log(q[mask]) - self.log_prior[mask])).sum())
-            bound = _expected_posterior_divergence(
-                q, self.likelihood, q_o, self.log_prior_posteriors
-            )
         else:
             risk = math.nan
-            bound = math.nan
 
         objective = self.objective
         if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
@@ -265,7 +236,6 @@ class _TimestepKernel:
             ambiguity=ambig,
             intrinsic=intrinsic,
             extrinsic=extrinsic,
-            evidence_bound=bound,
             total=score,
         )
 
@@ -406,13 +376,23 @@ def evidence_bound_diagnostic(
     """
     if prior_states is None:
         raise ConfigurationError("evidence_bound_diagnostic requires prior_states")
-    ctx = replace(plan_ctx, prior_states_for_risk=prior_states)
-    [scored] = score_policies(model, q_now, [policy], ctx, ObjectiveKind.EXPECTED_FREE_ENERGY)
-    log_p_o = clamped_log(model.likelihood @ prior_states.probs)
-    return [
-        (part.intrinsic, float((model.likelihood @ q_s.probs) @ log_p_o), part.evidence_bound)
-        for part, q_s in zip(scored.breakdowns, scored.states)
-    ]
+    [scored] = score_policies(model, q_now, [policy], plan_ctx,
+                              ObjectiveKind.EXPECTED_FREE_ENERGY)
+    likelihood = model.likelihood
+    prior = prior_states.probs
+    p_o = likelihood @ prior
+    # log P(s | o) under the reference prior, one row per outcome
+    log_posteriors = np.stack([
+        clamped_log(likelihood[o] * prior / p_o[o] if p_o[o] > 0.0 else np.zeros_like(prior))
+        for o in range(likelihood.shape[0])
+    ])
+    log_p_o = clamped_log(p_o)
+    rows = []
+    for part, q_s in zip(scored.breakdowns, scored.states):
+        q_o = likelihood @ q_s.probs
+        bound = _expected_posterior_divergence(q_s.probs, likelihood, q_o, log_posteriors)
+        rows.append((part.intrinsic, float(q_o @ log_p_o), bound))
+    return rows
 
 
 def state_outcome_utility_comparison(

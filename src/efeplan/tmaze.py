@@ -56,18 +56,6 @@ def state_index(context: int, location: int) -> int:
     return context * NUM_LOCATIONS + location
 
 
-def location_marginal(q_states: Categorical) -> np.ndarray:
-    """Collapse an 8-state belief onto the four locations."""
-    probs = q_states.probs.reshape(2, NUM_LOCATIONS)
-    return probs.sum(axis=0)
-
-
-def context_marginal(q_states: Categorical) -> np.ndarray:
-    """Collapse an 8-state belief onto the two contexts."""
-    probs = q_states.probs.reshape(2, NUM_LOCATIONS)
-    return probs.sum(axis=1)
-
-
 def _likelihood(reward_prob: float) -> np.ndarray:
     a = np.zeros((len(OUTCOME_LABELS), 2 * NUM_LOCATIONS))
     p = reward_prob
@@ -129,30 +117,9 @@ def score_outcome(outcome: int) -> int:
     return OUTCOME_SCORES[outcome]
 
 
-@dataclass(frozen=True)
-class ContextSchedule:
-    """Per-trial context assignment, index 0 = trial 1."""
-
-    contexts: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.contexts)
-
-
 def default_context(trial: int) -> int:
     """Context of a 1-based trial: black on trials 10-12 and trial 30, white elsewhere."""
     return BLACK if 10 <= trial <= 12 or trial == 30 else WHITE
-
-
-def default_schedule(trials: int = 50) -> ContextSchedule:
-    """The default context of trials 1..trials."""
-    return ContextSchedule(tuple(default_context(trial) for trial in range(1, trials + 1)))
-
-
-def context_at(schedule: ContextSchedule, trial: int) -> int:
-    if not 1 <= trial <= len(schedule):
-        raise ValueError(f"trial {trial} outside 1..{len(schedule)}")
-    return schedule.contexts[trial - 1]
 
 
 @dataclass

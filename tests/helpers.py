@@ -206,10 +206,9 @@ def reference_scores(model: GenerativeModel, q_now: Categorical, policies, plan_
             q_o = predictive_outcome(q_s, model.likelihood)
             intrinsic = expected_info_gain(q_s, model.likelihood)
             extrinsic = extrinsic_value(q_o, model.preferences)
-            risk, bound = math.nan, math.nan
+            risk = math.nan
             if prior is not None:
                 risk = risk_states(q_s, prior)
-                bound = evidence_bound_by_outcome_loop(q_s.probs, model.likelihood, prior.probs)
             if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
                 score = -intrinsic - extrinsic
             elif objective is ObjectiveKind.INFO_GAIN_ONLY:
@@ -225,7 +224,6 @@ def reference_scores(model: GenerativeModel, q_now: Categorical, policies, plan_
                 ambiguity=ambiguity(q_s, model.likelihood),
                 intrinsic=intrinsic,
                 extrinsic=extrinsic,
-                evidence_bound=bound,
                 total=score,
             ))
             states.append(q_s)

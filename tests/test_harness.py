@@ -19,9 +19,16 @@ from efeplan.harness import (
     write_records,
 )
 from efeplan.inference import ImpossibleObservationError, infer_states
-from efeplan.model import GenerativeModel, ModelSpecError, Policy, PolicySet, save_spec
+from efeplan.model import (
+    GenerativeModel,
+    ModelSpecError,
+    Policy,
+    PolicySet,
+    load_spec,
+    save_spec,
+)
 from efeplan.numerics import Categorical
-from efeplan.planning import ObjectiveKind
+from efeplan.planning import ObjectiveKind, PlanContext, evidence_bound_diagnostic
 from efeplan.tmaze import BLACK, WHITE, build_tmaze_model, score_outcome
 
 
@@ -48,14 +55,20 @@ class _ModelEnv:
         return self.observe()
 
 
+def _save_maze(path, **changes) -> str:
+    """The built-in maze's spec file with some model fields replaced."""
+    maze = build_tmaze_model()
+    fields = {name: getattr(maze, name) for name in maze.__dataclass_fields__}
+    save_spec(GenerativeModel(**{**fields, **changes}), path)
+    return str(path)
+
+
 def _save_contradicting_maze(path) -> None:
     """The maze with a likelihood that gives the black cue's outcome zero
     probability at the black cue location, which the environment still emits."""
-    maze = build_tmaze_model()
-    likelihood = maze.likelihood.copy()
+    likelihood = build_tmaze_model().likelihood.copy()
     likelihood[5, 7], likelihood[6, 7] = 1.0, 0.0
-    fields = {name: getattr(maze, name) for name in maze.__dataclass_fields__}
-    save_spec(GenerativeModel(**{**fields, "likelihood": likelihood}), path)
+    _save_maze(path, likelihood=likelihood)
 
 
 RUN_OUT_SHA256 = json.loads(
@@ -204,7 +217,10 @@ class TestRunExperiment:
             assert len(record.trials) == 2
             breakdown = record.trials[0].epochs[0].breakdowns[0]
             assert math.isfinite(breakdown.risk_states)
-            assert math.isfinite(breakdown.evidence_bound)
+        loaded = load_spec(path)
+        rows = evidence_bound_diagnostic(loaded, loaded.state_prior, loaded.policies[0],
+                                         PlanContext(current_epoch=1), loaded.risk_state_prior)
+        assert all(math.isfinite(bound) for _, _, bound in rows)
 
     def test_agent_ordering_on_default_seed(self, efe_record):
         eig = run_experiment(_config(agent=ObjectiveKind.INFO_GAIN_ONLY))
@@ -349,8 +365,20 @@ class TestParseCli:
             state_prior=Categorical(np.array([0.5, 0.5])),
             policies=PolicySet((Policy((0, 0)),)),
         ), two_state)
+        nan_a = build_tmaze_model().likelihood.copy()
+        nan_a[0, 0] = math.nan
+        nan_a = _save_maze(tmp_path / "nan_a.json", likelihood=nan_a)
+        inf_c = build_tmaze_model().preferences.copy()
+        inf_c[1] = math.inf
+        inf_c = _save_maze(tmp_path / "inf_c.json", preferences=inf_c)
+        bad_risk = tmp_path / "bad_risk.json"
+        save_spec(build_tmaze_model(), bad_risk)
+        doc = json.loads(bad_risk.read_text())
+        bad_risk.write_text(json.dumps({**doc, "risk_state_prior": [0.5] * 8}))
         table = [
             (["run", "--agent", "bogus"], 1),
+            (["run", "--reward-prob", "nan"], 1),
+            (["run", "--reward-prob", "1.5"], 1),
             (["run", "--trials", "0"], 1),
             (["run", "--precision", "nan"], 1),
             (["run", "--tie-tolerance", "-1"], 1),
@@ -360,6 +388,12 @@ class TestParseCli:
             (["run", "--agent", "eu-states", "--trials", "1"], 2),
             (["trial", "--model", str(two_state)], 2),
             (["run", "--model", str(tmp_path / "contradicting.json"), "--trials", "12"], 2),
+            (["validate", "--model", nan_a], 2),
+            (["run", "--model", nan_a, "--trials", "1"], 2),
+            (["validate", "--model", inf_c], 2),
+            (["run", "--model", inf_c, "--trials", "1"], 2),
+            (["decompose", "--model", inf_c], 2),
+            (["validate", "--model", str(bad_risk)], 2),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]
         for argv, code in table:

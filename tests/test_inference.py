@@ -3,12 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from efeplan.inference import BeliefEnsemble, bma_beliefs, infer_states, vfe
 from efeplan.model import GenerativeModel, Policy, PolicySet
 from efeplan.numerics import Categorical
 from efeplan.tmaze import build_tmaze_model
+
+
+def _random_observed_case(seed: int, deterministic: bool):
+    """A random model (at most 4 states, horizon at most 4), its first policy and a
+    reachable observation set: a sampled prefix with some timesteps dropped."""
+    rng = np.random.default_rng(seed)
+    model = helpers.random_model(rng, max_states=4, max_horizon=4,
+                                 deterministic_likelihood=deterministic)
+    policy = model.policies[0]
+    upto = int(rng.integers(0, model.horizon + 1))
+    prefix = helpers.sample_observations(rng, model, policy, upto)
+    observed = [pair for pair in prefix if rng.random() < 0.8]
+    return model, policy, observed
 
 
 def _chain_model(likelihood, transitions, prior, horizon, num_actions=1):
@@ -103,6 +118,16 @@ class TestInferStates:
             infer_states(model, model.policies[0], [(1, 0), (2, 5)])
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
+    def test_matches_exact_filter_marginal_property(self, seed, deterministic):
+        model, policy, observed = _random_observed_case(seed, deterministic)
+        result = infer_states(model, policy, observed)
+        for tau, _ in observed:
+            oracle = helpers.exact_filter_marginal(model, policy, observed, tau)
+            assert np.abs(result.states[tau - 1].probs - oracle).max() < 1e-12
+
+
 class TestVfe:
     def test_single_step_delta_equals_surprisal(self):
         model = _chain_model(np.eye(2), [np.eye(2)], [0.5, 0.5], horizon=1)
@@ -151,6 +176,15 @@ class TestVfe:
             f = vfe(model, states, observed, policy)
             oracle = helpers.exact_neg_log_evidence(model, policy, observed)
             assert abs(f - oracle) < 1e-6
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
+    def test_filtered_vfe_equals_exact_surprisal_property(self, seed, deterministic):
+        model, policy, observed = _random_observed_case(seed, deterministic)
+        states = infer_states(model, policy, observed).states
+        f = vfe(model, states, observed, policy)
+        oracle = helpers.exact_neg_log_evidence(model, policy, observed)
+        assert abs(f - oracle) < 1e-9
 
     def test_local_optimality_under_first_epoch_observation(self):
         # with a single observation at the first timestep the filtered beliefs

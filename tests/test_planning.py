@@ -253,12 +253,15 @@ class TestExpectedFreeEnergy:
             )
             assert len(parts) == 2
             for p in parts:
-                for value in (p.risk_states, p.ambiguity, p.intrinsic,
-                              p.extrinsic, p.evidence_bound, p.total):
+                for value in (p.risk_states, p.ambiguity, p.intrinsic, p.extrinsic, p.total):
                     assert math.isfinite(value)
                 assert p.intrinsic >= -1e-12
                 assert p.ambiguity >= -1e-12
-                assert p.evidence_bound >= -1e-12
+        rows = evidence_bound_diagnostic(model, model.state_prior, model.policies[7], ctx, prior)
+        assert len(rows) == 2
+        for _, _, bound in rows:
+            assert math.isfinite(bound)
+            assert bound >= -1e-12
 
     def test_missing_prior_rejected_for_state_objectives(self):
         model = build_tmaze_model()
@@ -338,12 +341,21 @@ class TestScorePolicies:
         got = score_policies(model, q_now, viable, ctx, objective)
         want = helpers.reference_scores(model, q_now, viable, ctx, objective)
         assert len(got) == len(want) == len(viable)
-        for scored, (total, parts, states) in zip(got, want):
+        for policy, scored, (total, parts, states) in zip(viable, got, want):
             assert scored.total == total
             assert list(scored.breakdowns) == parts
             assert len(scored.states) == len(states)
             for a, b in zip(scored.states, states):
                 assert np.array_equal(a.probs, b.probs)
+            for part, q_s in zip(scored.breakdowns, scored.states):
+                by_update = helpers.info_gain_by_update(q_s.probs, model.likelihood)
+                assert abs(part.intrinsic - by_update) < 1e-12
+            rows = evidence_bound_diagnostic(model, q_now, policy, ctx, model.risk_state_prior)
+            assert [bound for _, _, bound in rows] == [
+                helpers.evidence_bound_by_outcome_loop(
+                    q_s.probs, model.likelihood, model.risk_state_prior.probs)
+                for q_s in scored.states
+            ]
 
 
 class TestPolicyPosterior:

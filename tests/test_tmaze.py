@@ -10,8 +10,7 @@ from efeplan.tmaze import (
     WHITE,
     TmazeEnv,
     build_tmaze_model,
-    context_at,
-    default_schedule,
+    default_context,
     score_outcome,
     state_index,
 )
@@ -78,26 +77,15 @@ class TestBuildModel:
 
 class TestContextSchedule:
     def test_switch_points(self):
-        schedule = default_schedule()
-        assert context_at(schedule, 1) == WHITE
-        assert context_at(schedule, 9) == WHITE
-        assert context_at(schedule, 10) == BLACK
-        assert context_at(schedule, 12) == BLACK
-        assert context_at(schedule, 13) == WHITE
-        assert context_at(schedule, 29) == WHITE
-        assert context_at(schedule, 30) == BLACK
-        assert context_at(schedule, 31) == WHITE
-        assert context_at(schedule, 50) == WHITE
-
-    def test_length(self):
-        assert len(default_schedule()) == 50
-
-    def test_out_of_range(self):
-        schedule = default_schedule()
-        with pytest.raises(ValueError):
-            context_at(schedule, 0)
-        with pytest.raises(ValueError):
-            context_at(schedule, 51)
+        assert default_context(1) == WHITE
+        assert default_context(9) == WHITE
+        assert default_context(10) == BLACK
+        assert default_context(12) == BLACK
+        assert default_context(13) == WHITE
+        assert default_context(29) == WHITE
+        assert default_context(30) == BLACK
+        assert default_context(31) == WHITE
+        assert default_context(50) == WHITE
 
 
 class TestEnv:
