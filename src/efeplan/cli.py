@@ -198,6 +198,8 @@ def _cmd_decompose(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     viable = [p for p in model.policies if p.actions[: len(executed)] == executed]
+    if not viable:
+        raise UsageError(f"no policy starts with the executed actions {executed}")
     scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, ObjectiveKind(args.agent))))
     g_values = [scores[p].total if p in scores else math.nan for p in model.policies]
     sums = [scores[p].summed if p in scores else None for p in model.policies]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import BeliefEnsemble, ImpossibleObservationError, bma_beliefs, infer_states
+from .inference import ImpossibleObservationError, bma_beliefs, infer_states
 from .model import GenerativeModel, ModelSpecError, load_spec, validate
 from .planning import (
     ConfigurationError,
@@ -56,6 +56,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.precision) and self.precision >= 0.0):
             raise ValueError(f"precision must be a nonnegative real, got {self.precision!r}")
         if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0.0):
@@ -128,6 +130,7 @@ def run_trial(
             filtered = infer_states(model, policies[viable[0]], observed).states[:epoch]
         except ImpossibleObservationError as exc:
             raise ImpossibleObservationError(str(exc), trial, epoch) from exc
+        filtered_rows = np.array([q.probs for q in filtered])
 
         ctx = PlanContext(
             current_epoch=epoch,
@@ -137,7 +140,7 @@ def run_trial(
         )
         g = np.full(len(policies), math.nan)
         breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
-        beliefs: list[tuple | None] = [None] * len(policies)
+        beliefs: list[np.ndarray | None] = [None] * len(policies)
         if epoch < horizon:
             scores = score_policies(
                 model, filtered[-1], [policies[i] for i in viable], ctx, config.agent
@@ -145,17 +148,14 @@ def run_trial(
             for i, scored in zip(viable, scores):
                 g[i] = scored.total
                 breakdowns[i] = scored.summed
-                beliefs[i] = filtered + scored.states
+                beliefs[i] = np.vstack((filtered_rows, scored.states))
         else:
             g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
             for i in viable:
-                beliefs[i] = filtered
+                beliefs[i] = filtered_rows
 
         post = policy_posterior(g, policies, ctx)
-        ensemble = BeliefEnsemble(per_policy_states=tuple(beliefs), policy_posterior=post)
-        bma_states = tuple(
-            tuple(bma_beliefs(ensemble, tau).probs.tolist()) for tau in range(1, horizon + 1)
-        )
+        bma_states = tuple(tuple(row) for row in bma_beliefs(post, beliefs).tolist())
 
         action = None
         marginal = None

@@ -41,25 +41,6 @@ class InferenceResult:
     sweeps: int = 1  # always one pass; kept because benches/tracer.py reads it per call
 
 
-@dataclass(frozen=True)
-class BeliefEnsemble:
-    """Per-policy state beliefs plus the policy posterior for one epoch.
-
-    per_policy_states[i] is None for policies whose action prefix contradicts
-    the executed actions; those policies must carry zero posterior mass.
-    """
-
-    per_policy_states: tuple[tuple[Categorical, ...] | None, ...]
-    policy_posterior: Categorical
-
-    def __post_init__(self):
-        if len(self.per_policy_states) != len(self.policy_posterior):
-            raise ValueError("one belief sequence per policy is required")
-        for i, states in enumerate(self.per_policy_states):
-            if states is None and self.policy_posterior.probs[i] > 0.0:
-                raise ValueError(f"policy {i} has posterior mass but no beliefs")
-
-
 def _check_observed(model: GenerativeModel, observed) -> dict[int, int]:
     obs_map: dict[int, int] = {}
     for timestep, outcome in observed:
@@ -127,17 +108,24 @@ def vfe(model: GenerativeModel, q_states, observed, policy: Policy) -> float:
     return total
 
 
-def bma_beliefs(ensemble: BeliefEnsemble, timestep: int) -> Categorical:
-    """Posterior-weighted average of per-policy state beliefs at one timestep."""
-    weights = ensemble.policy_posterior.probs
+def bma_beliefs(policy_posterior: Categorical, per_policy_states) -> np.ndarray:
+    """Posterior-weighted average of per-policy (timestep x state) belief tables.
+
+    per_policy_states[i] is None for a policy whose action prefix contradicts
+    the executed actions; such a policy must carry zero posterior mass. Row k
+    of the result is the mixed belief at timestep k + 1.
+    """
+    weights = policy_posterior.probs
+    if len(per_policy_states) != len(weights):
+        raise ValueError("one belief sequence per policy is required")
     mixed = None
-    for w, states in zip(weights, ensemble.per_policy_states):
+    for i, (w, states) in enumerate(zip(weights, per_policy_states)):
+        if states is None and w > 0.0:
+            raise ValueError(f"policy {i} has posterior mass but no beliefs")
         if w <= 0.0:
             continue
-        if timestep < 1 or timestep > len(states):
-            raise ValueError(f"timestep {timestep} outside 1..{len(states)}")
-        contribution = w * states[timestep - 1].probs
+        contribution = w * states
         mixed = contribution if mixed is None else mixed + contribution
     if mixed is None:
         raise ValueError("policy posterior has no mass")
-    return Categorical(mixed / mixed.sum())
+    return mixed / mixed.sum(axis=1, keepdims=True)

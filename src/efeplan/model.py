@@ -104,7 +104,7 @@ def _check_columns(name: str, matrix: np.ndarray, violations: list[str]) -> None
         column = matrix[:, col]
         if np.any(column < 0.0):
             violations.append(f"{name} column {col} has a negative entry")
-        total = column.sum()
+        total = float(column.sum())
         if abs(total - 1.0) > NORM_TOL:
             violations.append(f"{name} column {col} sums to {total!r}, expected 1")
 
@@ -172,33 +172,39 @@ _REQUIRED_KEYS = ("num_states", "num_outcomes", "num_actions", "horizon",
                   "A", "B", "C", "D", "policies")
 
 
-def _require_matrix(name: str, raw, rows: int, cols: int) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != rows:
-        raise ModelSpecError(f"{name} must be a list of {rows} rows")
-    out = np.empty((rows, cols), dtype=np.float64)
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ModelSpecError(f"{name} row {i} must be a list of {cols} numbers")
-        for j, x in enumerate(row):
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
-                raise ModelSpecError(f"{name}[{i}][{j}] is not a number: {x!r}")
-            if x < 0.0:
-                raise ModelSpecError(f"{name}[{i}][{j}] = {x!r}: negative probability")
-            out[i, j] = float(x)
-    return out
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
 
 
-def _require_vector(name: str, raw, length: int, nonnegative: bool) -> np.ndarray:
-    if not isinstance(raw, list) or len(raw) != length:
-        raise ModelSpecError(f"{name} must be a list of {length} numbers")
-    out = np.empty(length, dtype=np.float64)
-    for i, x in enumerate(raw):
-        if not isinstance(x, (int, float)) or isinstance(x, bool):
-            raise ModelSpecError(f"{name}[{i}] is not a number: {x!r}")
-        if nonnegative and x < 0.0:
-            raise ModelSpecError(f"{name}[{i}] = {x!r}: negative probability")
-        out[i] = float(x)
-    return out
+def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray:
+    """Check a JSON vector (shape (n,)) or matrix (shape (rows, cols)) of numbers
+    and convert it. JSON numbers arrive as exact ints and floats, never bools."""
+    vector = len(shape) == 1
+    if not isinstance(raw, list) or len(raw) != shape[0]:
+        raise ModelSpecError(f"{name} must be a list of {shape[0]} "
+                             f"{'numbers' if vector else 'rows'}")
+    rows = [raw] if vector else raw
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != shape[-1]:
+            raise ModelSpecError(f"{name} row {i} must be a list of {shape[-1]} numbers")
+
+    def where(i: int, j: int) -> str:
+        return f"{name}[{j}]" if vector else f"{name}[{i}][{j}]"
+
+    def first(bad) -> tuple[int, int]:
+        return next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if bad(x))
+
+    if not {type(x) for row in rows for x in row} <= {int, float}:
+        i, j = first(lambda x: type(x) not in (int, float))
+        raise ModelSpecError(f"{where(i, j)} is not a number: {rows[i][j]!r}")
+    try:
+        out = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        i, j = first(lambda x: type(x) is int and abs(x) >= _FLOAT_OVERFLOW)
+        raise ModelSpecError(f"{where(i, j)} is an integer too large for a float") from None
+    if nonnegative and (out < 0.0).any():
+        i, j = np.argwhere(out < 0.0)[0]
+        raise ModelSpecError(f"{where(i, j)} = {rows[i][j]!r}: negative probability")
+    return out.reshape(shape)
 
 
 def _optional_labels(doc: dict, key: str, length: int) -> tuple[str, ...] | None:
@@ -234,13 +240,14 @@ def load_spec(path) -> GenerativeModel:
     n_s, n_o, n_u, horizon = (dims[k] for k in
                               ("num_states", "num_outcomes", "num_actions", "horizon"))
 
-    a = _require_matrix("A", doc["A"], n_o, n_s)
+    a = _require_array("A", doc["A"], (n_o, n_s), nonnegative=True)
     raw_b = doc["B"]
     if not isinstance(raw_b, list) or len(raw_b) != n_u:
         raise ModelSpecError(f"B must be a list of {n_u} matrices")
-    b = tuple(_require_matrix(f"B[{u}]", raw_b[u], n_s, n_s) for u in range(n_u))
-    c = _require_vector("C", doc["C"], n_o, nonnegative=False)
-    d = _require_vector("D", doc["D"], n_s, nonnegative=True)
+    b = tuple(_require_array(f"B[{u}]", raw_b[u], (n_s, n_s), nonnegative=True)
+              for u in range(n_u))
+    c = _require_array("C", doc["C"], (n_o,), nonnegative=False)
+    d = _require_array("D", doc["D"], (n_s,), nonnegative=True)
 
     raw_policies = doc["policies"]
     if not isinstance(raw_policies, list) or not raw_policies:
@@ -255,8 +262,8 @@ def load_spec(path) -> GenerativeModel:
 
     risk_prior = None
     if doc.get("risk_state_prior") is not None:
-        raw_risk = _require_vector("risk_state_prior", doc["risk_state_prior"], n_s,
-                                   nonnegative=True)
+        raw_risk = _require_array("risk_state_prior", doc["risk_state_prior"], (n_s,),
+                                  nonnegative=True)
         try:
             risk_prior = Categorical(raw_risk)
         except ValueError as exc:

@@ -31,8 +31,8 @@ class Categorical:
         if not np.all(np.isfinite(probs)):
             raise ValueError("probs must be finite")
         if np.any(probs < 0.0):
-            raise ValueError(f"probs must be nonnegative, got min {probs.min()}")
-        total = probs.sum()
+            raise ValueError(f"probs must be nonnegative, got min {float(probs.min())!r}")
+        total = float(probs.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"probs must sum to 1 within {NORM_TOL}, got {total!r}")
         probs = probs.copy()
@@ -76,7 +76,8 @@ def normalize(weights) -> Categorical:
 def softmax(logits, precision: float = 1.0) -> Categorical:
     """probs[i] proportional to exp(precision * logits[i]).
 
-    precision = 0 gives the uniform distribution.
+    precision = 0 gives the uniform distribution; a precision so large that
+    the scaled gaps overflow gives the argmax limit (uniform over the ties).
     """
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
@@ -85,8 +86,10 @@ def softmax(logits, precision: float = 1.0) -> Categorical:
         raise ValueError("logits must be finite")
     if not (np.isfinite(precision) and precision >= 0.0):
         raise ValueError(f"precision must be a nonnegative real, got {precision!r}")
-    scaled = precision * z
-    e = np.exp(scaled - scaled.max())
+    if precision == 0.0:  # even where the gaps below overflow
+        return Categorical(np.full(z.size, 1.0 / z.size))
+    with np.errstate(over="ignore"):
+        e = np.exp(precision * (z - z.max()))
     return Categorical(e / e.sum())
 
 

@@ -164,7 +164,7 @@ def extrinsic_value(q_o: Categorical, preferences: np.ndarray) -> float:
     return float(q_o.probs @ (preferences - log_sum_exp(preferences)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolicyScore:
     """One policy scored over the remaining horizon.
 
@@ -173,7 +173,7 @@ class PolicyScore:
 
     total: float                          # G, the summed score; lower is better
     breakdowns: tuple[EfeBreakdown, ...]
-    states: tuple[Categorical, ...]       # predicted Q(s_tau | policy)
+    states: np.ndarray                    # predicted Q(s_tau | policy), timestep x state
 
     @property
     def summed(self) -> EfeBreakdown:
@@ -264,7 +264,7 @@ def score_policies(
         )
 
     kernel = _TimestepKernel(model, prior, objective)
-    # remaining-action prefix -> (unnormalised rollout, predicted belief, breakdown)
+    # remaining-action prefix -> (unnormalised rollout, normalised prediction, breakdown)
     nodes: dict[tuple[int, ...], tuple] = {(): (q_now.probs, None, None)}
     scores: list[PolicyScore] = []
     for policy in policies:
@@ -273,14 +273,14 @@ def score_policies(
         for k in range(1, len(rest) + 1):
             if rest[:k] not in nodes:
                 raw = model.transitions[rest[k - 1]] @ path[-1][0]
-                q_s = Categorical(raw / raw.sum())
-                nodes[rest[:k]] = (raw, q_s, kernel(q_s.probs))
+                q_s = raw / raw.sum()
+                nodes[rest[:k]] = (raw, q_s, kernel(q_s))
             path.append(nodes[rest[:k]])
         parts = tuple(node[2] for node in path[1:])
         scores.append(PolicyScore(
             total=sum(part.total for part in parts),
             breakdowns=parts,
-            states=tuple(node[1] for node in path[1:]),
+            states=np.array([node[1] for node in path[1:]]),
         ))
     return scores
 
@@ -389,8 +389,8 @@ def evidence_bound_diagnostic(
     log_p_o = clamped_log(p_o)
     rows = []
     for part, q_s in zip(scored.breakdowns, scored.states):
-        q_o = likelihood @ q_s.probs
-        bound = _expected_posterior_divergence(q_s.probs, likelihood, q_o, log_posteriors)
+        q_o = likelihood @ q_s
+        bound = _expected_posterior_divergence(q_s, likelihood, q_o, log_posteriors)
         rows.append((part.intrinsic, float(q_o @ log_p_o), bound))
     return rows
 

@@ -167,6 +167,23 @@ def random_categorical(rng: np.random.Generator, n: int) -> Categorical:
     return Categorical(rng.dirichlet(np.ones(n)))
 
 
+def bma_by_timestep(weights: np.ndarray, per_policy_states) -> np.ndarray:
+    """Posterior-weighted mix of per-policy belief tables, one timestep at a
+    time: the weighted sum in policy order, then that timestep's row divided
+    by its own sum. Policies without weight are skipped, tables or not."""
+    timesteps = next(len(states) for w, states in zip(weights, per_policy_states) if w > 0.0)
+    rows = []
+    for tau in range(timesteps):
+        mixed = None
+        for w, states in zip(weights, per_policy_states):
+            if w <= 0.0:
+                continue
+            contribution = w * states[tau]
+            mixed = contribution if mixed is None else mixed + contribution
+        rows.append(mixed / mixed.sum())
+    return np.array(rows)
+
+
 def evidence_bound_by_outcome_loop(q_s: np.ndarray, likelihood: np.ndarray,
                                    prior_s: np.ndarray) -> float:
     """E over predicted outcomes of KL[state posterior under q_s || state

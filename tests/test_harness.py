@@ -375,6 +375,13 @@ class TestParseCli:
         save_spec(build_tmaze_model(), bad_risk)
         doc = json.loads(bad_risk.read_text())
         bad_risk.write_text(json.dumps({**doc, "risk_state_prior": [0.5] * 8}))
+        huge_c = tmp_path / "huge_c.json"
+        huge_c.write_text(json.dumps({**doc, "C": [10**400] + doc["C"][1:]}))
+        bad_d = tmp_path / "bad_d.json"
+        bad_d.write_text(json.dumps({**doc, "D": [0.5] * 8}))
+        half_column = tmp_path / "half_column.json"
+        doc["A"][0][0] = 0.5
+        half_column.write_text(json.dumps(doc))
         table = [
             (["run", "--agent", "bogus"], 1),
             (["run", "--reward-prob", "nan"], 1),
@@ -385,6 +392,9 @@ class TestParseCli:
             (["trial", "--trial", "0"], 1),
             (["decompose", "--epoch", "3"], 1),
             (["decompose", "--beliefs", "1,2"], 1),
+            (["decompose", "--epoch", "2", "--executed", "9"], 1),
+            (["run", "--seed", "-1"], 1),
+            (["trial", "--seed", "-3"], 1),
             (["run", "--agent", "eu-states", "--trials", "1"], 2),
             (["trial", "--model", str(two_state)], 2),
             (["run", "--model", str(tmp_path / "contradicting.json"), "--trials", "12"], 2),
@@ -394,6 +404,9 @@ class TestParseCli:
             (["run", "--model", inf_c, "--trials", "1"], 2),
             (["decompose", "--model", inf_c], 2),
             (["validate", "--model", str(bad_risk)], 2),
+            (["validate", "--model", str(huge_c)], 2),
+            (["validate", "--model", str(bad_d)], 2),
+            (["validate", "--model", str(half_column)], 2),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]
         for argv, code in table:
@@ -401,11 +414,13 @@ class TestParseCli:
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1, (argv, err)
             assert "Traceback" not in err, argv
+            assert "np." not in err, (argv, err)  # values print as Python floats
 
     def test_main_run_and_validate_succeed(self, tmp_path, capsys):
         save_spec(build_tmaze_model(), tmp_path / "maze.json")
         assert main(["validate", "--model", str(tmp_path / "maze.json")]) == 0
         assert main(["run", "--trials", "2", "--out", str(tmp_path / "out")]) == 0
+        assert main(["run", "--trials", "1", "--precision", "1e308"]) == 0
         assert (tmp_path / "out" / "trials.csv").exists()
         capsys.readouterr()
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from efeplan.inference import BeliefEnsemble, bma_beliefs, infer_states, vfe
+from efeplan.inference import bma_beliefs, infer_states, vfe
 from efeplan.model import GenerativeModel, Policy, PolicySet
 from efeplan.numerics import Categorical
 from efeplan.tmaze import build_tmaze_model
@@ -211,39 +211,40 @@ class TestVfe:
 
 
 class TestBmaBeliefs:
-    def _ensemble(self, states_list, weights):
-        return BeliefEnsemble(
-            per_policy_states=tuple(states_list),
-            policy_posterior=Categorical(np.asarray(weights, dtype=np.float64)),
-        )
-
     def test_single_policy_identity(self):
-        q = (Categorical(np.array([0.3, 0.7])),)
-        ensemble = self._ensemble([q], [1.0])
-        assert np.allclose(bma_beliefs(ensemble, 1).probs, [0.3, 0.7])
+        mixed = bma_beliefs(Categorical(np.array([1.0])), [np.array([[0.3, 0.7]])])
+        assert np.allclose(mixed, [[0.3, 0.7]])
 
     def test_symmetric_mixture_of_deltas(self):
-        a = (Categorical(np.array([1.0, 0.0, 0.0])),)
-        b = (Categorical(np.array([0.0, 1.0, 0.0])),)
-        ensemble = self._ensemble([a, b], [0.5, 0.5])
-        assert np.allclose(bma_beliefs(ensemble, 1).probs, [0.5, 0.5, 0.0])
+        a = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        b = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        mixed = bma_beliefs(Categorical(np.array([0.5, 0.5])), [a, b])
+        assert np.allclose(mixed, [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
 
     def test_zero_weight_policies_may_lack_beliefs(self):
-        q = (Categorical(np.array([0.5, 0.5])),)
-        ensemble = self._ensemble([q, None], [1.0, 0.0])
-        assert np.allclose(bma_beliefs(ensemble, 1).probs, [0.5, 0.5])
-
-    def test_timestep_out_of_range(self):
-        q = (Categorical(np.array([1.0, 0.0])),)
-        ensemble = self._ensemble([q], [1.0])
-        with pytest.raises(ValueError, match="timestep"):
-            bma_beliefs(ensemble, 2)
+        mixed = bma_beliefs(Categorical(np.array([1.0, 0.0])), [np.array([[0.5, 0.5]]), None])
+        assert np.allclose(mixed, [[0.5, 0.5]])
 
     def test_one_belief_sequence_per_policy(self):
-        q = (Categorical(np.array([1.0, 0.0])),)
         with pytest.raises(ValueError, match="one belief sequence per policy"):
-            self._ensemble([q], [0.5, 0.5])
+            bma_beliefs(Categorical(np.array([0.5, 0.5])), [np.array([[1.0, 0.0]])])
 
     def test_mass_on_missing_beliefs_rejected(self):
         with pytest.raises(ValueError, match="posterior mass"):
-            self._ensemble([None], [1.0])
+            bma_beliefs(Categorical(np.array([1.0])), [None])
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_policies=st.integers(1, 6),
+           num_states=st.integers(1, 9), timesteps=st.integers(1, 5))
+    def test_matches_per_timestep_reference(self, seed, num_policies, num_states, timesteps):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(num_policies) * (rng.random(num_policies) < 0.6)
+        weights[rng.integers(num_policies)] += 1.0
+        post = Categorical(weights / weights.sum())
+        tables = [
+            None if w == 0.0 and rng.random() < 0.5
+            else rng.dirichlet(np.ones(num_states), size=timesteps)
+            for w in post.probs
+        ]
+        assert np.array_equal(bma_beliefs(post, tables),
+                              helpers.bma_by_timestep(post.probs, tables))

@@ -150,6 +150,27 @@ class TestRoundTrip:
         assert np.allclose(loaded.risk_state_prior.probs, 1 / 8)
 
 
+# (key, entry replaced or None for the whole value, new value, exact message)
+_ARRAY_ERRORS = [
+    ("A", None, 3, "A must be a list of 7 rows"),
+    ("A", None, [[0.0] * 8] * 6, "A must be a list of 7 rows"),
+    ("A", (1,), [0.0] * 7, "A row 1 must be a list of 8 numbers"),
+    ("A", (1,), "row", "A row 1 must be a list of 8 numbers"),
+    ("A", (2, 3), True, "A[2][3] is not a number: True"),
+    ("A", (2, 3), "0.5", "A[2][3] is not a number: '0.5'"),
+    ("A", (2, 3), None, "A[2][3] is not a number: None"),
+    ("A", (2, 3), -1, "A[2][3] = -1: negative probability"),
+    ("A", (2, 3), 10**400, "A[2][3] is an integer too large for a float"),
+    ("D", None, {"0": 1.0}, "D must be a list of 8 numbers"),
+    ("D", None, [0.125] * 7, "D must be a list of 8 numbers"),
+    ("D", (4,), False, "D[4] is not a number: False"),
+    ("D", (4,), "x", "D[4] is not a number: 'x'"),
+    ("D", (4,), None, "D[4] is not a number: None"),
+    ("D", (4,), -0.25, "D[4] = -0.25: negative probability"),
+    ("D", (4,), -(10**400), "D[4] is an integer too large for a float"),
+]
+
+
 class TestLoadErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -188,6 +209,23 @@ class TestLoadErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelSpecError, match="A row 1"):
             load_spec(path)
+
+    @pytest.mark.parametrize("key,where,value,message", _ARRAY_ERRORS,
+                             ids=[case[-1] for case in _ARRAY_ERRORS])
+    def test_array_entry_messages(self, tmp_path, key, where, value, message):
+        path = tmp_path / "maze.json"
+        save_spec(build_tmaze_model(), path)
+        doc = json.loads(path.read_text())
+        if where is None:
+            doc[key] = value
+        elif len(where) == 1:
+            doc[key][where[0]] = value
+        else:
+            doc[key][where[0]][where[1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelSpecError) as info:
+            load_spec(path)
+        assert str(info.value) == message
 
     def test_invariant_violations_surface(self, tmp_path):
         path = tmp_path / "maze.json"

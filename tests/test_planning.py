@@ -346,14 +346,14 @@ class TestScorePolicies:
             assert list(scored.breakdowns) == parts
             assert len(scored.states) == len(states)
             for a, b in zip(scored.states, states):
-                assert np.array_equal(a.probs, b.probs)
+                assert np.array_equal(a, b.probs)
             for part, q_s in zip(scored.breakdowns, scored.states):
-                by_update = helpers.info_gain_by_update(q_s.probs, model.likelihood)
+                by_update = helpers.info_gain_by_update(q_s, model.likelihood)
                 assert abs(part.intrinsic - by_update) < 1e-12
             rows = evidence_bound_diagnostic(model, q_now, policy, ctx, model.risk_state_prior)
             assert [bound for _, _, bound in rows] == [
                 helpers.evidence_bound_by_outcome_loop(
-                    q_s.probs, model.likelihood, model.risk_state_prior.probs)
+                    q_s, model.likelihood, model.risk_state_prior.probs)
                 for q_s in scored.states
             ]
 
