@@ -18,6 +18,7 @@ import numpy as np
 
 from .inference import ImpossibleObservationError, bma_beliefs, infer_states
 from .model import GenerativeModel, ModelSpecError, load_spec, validate
+from .numerics import Categorical
 from .planning import (
     ConfigurationError,
     EfeBreakdown,
@@ -102,6 +103,69 @@ class ExperimentRecord:
     duration_seconds: float
 
 
+def _plan_epoch(
+    model: GenerativeModel,
+    config: ExperimentConfig,
+    executed: tuple[int, ...],
+    observations: tuple[int, ...],
+    trial: int,
+) -> tuple[dict, Categorical | None]:
+    """Everything the agent computes at one epoch from its history.
+
+    Returns the epoch's EpochRecord fields except the action, and the action
+    marginal to select from (None at the final epoch).
+    """
+    policies = model.policies
+    horizon = model.horizon
+    epoch = len(observations)
+    observed = tuple(enumerate(observations, start=1))
+    viable = [i for i, pol in enumerate(policies) if pol.actions[: len(executed)] == executed]
+    # Viable policies share the executed prefix, so they share its filtered
+    # beliefs; they differ only in the predictions past the current epoch.
+    try:
+        filtered = infer_states(model, policies[viable[0]], observed).states[:epoch]
+    except ImpossibleObservationError as exc:
+        raise ImpossibleObservationError(str(exc), trial, epoch) from exc
+    filtered_rows = np.array([q.probs for q in filtered])
+
+    ctx = PlanContext(
+        current_epoch=epoch,
+        executed_actions=executed,
+        precision=config.precision,
+        prior_states_for_risk=model.risk_state_prior,
+    )
+    g = np.full(len(policies), math.nan)
+    breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
+    beliefs: list[np.ndarray | None] = [None] * len(policies)
+    if epoch < horizon:
+        scores = score_policies(
+            model, filtered[-1], [policies[i] for i in viable], ctx, config.agent
+        )
+        for i, scored in zip(viable, scores):
+            g[i] = scored.total
+            breakdowns[i] = scored.summed
+            beliefs[i] = np.vstack((filtered_rows, scored.states))
+    else:
+        g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
+        for i in viable:
+            beliefs[i] = filtered_rows
+
+    post = policy_posterior(g, policies, ctx)
+    marg = None
+    if epoch < horizon:
+        marg = action_marginal(post, policies, epoch, model.num_actions)
+    fields = dict(
+        epoch=epoch,
+        observation=observations[-1],
+        action_marginal=None if marg is None else tuple(marg.probs.tolist()),
+        policy_posterior=tuple(post.probs.tolist()),
+        bma_states=tuple(tuple(row) for row in bma_beliefs(post, beliefs).tolist()),
+        g_values=tuple(g.tolist()),
+        breakdowns=tuple(breakdowns),
+    )
+    return fields, marg
+
+
 def run_trial(
     model: GenerativeModel,
     env: TmazeEnv,
@@ -110,74 +174,33 @@ def run_trial(
     *,
     trial: int = 1,
     cumulative_before: int = 0,
+    memo: dict | None = None,
 ) -> TrialRecord:
-    """One full trial; the env must already sit at the center with its context set."""
-    policies = model.policies
-    horizon = model.horizon
-    prior = model.risk_state_prior
+    """One full trial; the env must already sit at the center with its context set.
 
+    A memo dict, shared by trials of one model and config, plans each distinct
+    (executed actions, observations) history once: later visits reuse its
+    records and only select the action and step the env. Records are unchanged.
+    """
     observations = [env.observe()]
     executed: list[int] = []
     epoch_records: list[EpochRecord] = []
 
-    for epoch in range(1, horizon + 1):
-        observed = tuple((i + 1, o) for i, o in enumerate(observations))
-        prefix = tuple(executed)
-        viable = [i for i, pol in enumerate(policies) if pol.actions[: len(prefix)] == prefix]
-        # Viable policies share the executed prefix, so they share its filtered
-        # beliefs; they differ only in the predictions past the current epoch.
-        try:
-            filtered = infer_states(model, policies[viable[0]], observed).states[:epoch]
-        except ImpossibleObservationError as exc:
-            raise ImpossibleObservationError(str(exc), trial, epoch) from exc
-        filtered_rows = np.array([q.probs for q in filtered])
-
-        ctx = PlanContext(
-            current_epoch=epoch,
-            executed_actions=prefix,
-            precision=config.precision,
-            prior_states_for_risk=prior,
-        )
-        g = np.full(len(policies), math.nan)
-        breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
-        beliefs: list[np.ndarray | None] = [None] * len(policies)
-        if epoch < horizon:
-            scores = score_policies(
-                model, filtered[-1], [policies[i] for i in viable], ctx, config.agent
-            )
-            for i, scored in zip(viable, scores):
-                g[i] = scored.total
-                breakdowns[i] = scored.summed
-                beliefs[i] = np.vstack((filtered_rows, scored.states))
-        else:
-            g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
-            for i in viable:
-                beliefs[i] = filtered_rows
-
-        post = policy_posterior(g, policies, ctx)
-        bma_states = tuple(tuple(row) for row in bma_beliefs(post, beliefs).tolist())
+    for _ in range(model.horizon):
+        key = (tuple(executed), tuple(observations))
+        planned = None if memo is None else memo.get(key)
+        if planned is None:
+            planned = _plan_epoch(model, config, *key, trial)
+            if memo is not None:
+                memo[key] = planned
+        fields, marg = planned
 
         action = None
-        marginal = None
-        if epoch < horizon:
-            marg = action_marginal(post, policies, epoch, model.num_actions)
-            marginal = tuple(marg.probs.tolist())
+        if marg is not None:
             action = select_action(marg, rng, config.tie_tolerance)
             executed.append(action)
             observations.append(env.step(action))
-
-        epoch_records.append(
-            EpochRecord(
-                epoch=epoch,
-                observation=observed[-1][1],
-                action=action,
-                action_marginal=marginal,
-                policy_posterior=tuple(post.probs.tolist()),
-                bma_states=bma_states,
-                g_values=tuple(g.tolist()),
-                breakdowns=tuple(breakdowns),
-            )
-        )
+        epoch_records.append(EpochRecord(action=action, **fields))
 
     score_delta = sum(score_outcome(o) for o in observations)
     return TrialRecord(
@@ -236,12 +259,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     _require_maze_shape(model)
     records: list[TrialRecord] = []
     cumulative = 0
+    memo: dict = {}  # one model and config: every history plans the same way
+    env = TmazeEnv(rng=None, reward_prob=config.reward_prob)  # each trial sets its generator
     for trial in range(1, config.trials + 1):
-        env_rng, tie_rng = _trial_rngs(config.seed, trial)
-        env = TmazeEnv(rng=env_rng, reward_prob=config.reward_prob)
+        env.rng, tie_rng = _trial_rngs(config.seed, trial)
         env.reset(default_context(trial))
         record = run_trial(
-            model, env, config, tie_rng, trial=trial, cumulative_before=cumulative
+            model, env, config, tie_rng, trial=trial, cumulative_before=cumulative, memo=memo
         )
         cumulative = record.cumulative_score
         records.append(record)

@@ -222,7 +222,9 @@ def load_spec(path) -> GenerativeModel:
     if not path.exists():
         raise FileNotFoundError(f"model spec file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelSpecError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ModelSpecError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -130,12 +130,13 @@ class TmazeEnv:
     true_context: int = WHITE
     reward_prob: float = 0.98
     current_location: int = CENTER
-    _outcome_table: np.ndarray = field(init=False, repr=False)
+    _cumulative_outcomes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.reward_prob <= 1.0:
             raise ValueError(f"reward_prob must lie in [0, 1], got {self.reward_prob}")
-        self._outcome_table = _likelihood(self.reward_prob)
+        # column s: cumulative outcome probabilities in state s
+        self._cumulative_outcomes = np.cumsum(_likelihood(self.reward_prob), axis=0)
 
     def reset(self, context: int) -> None:
         if context not in (WHITE, BLACK):
@@ -145,9 +146,9 @@ class TmazeEnv:
 
     def observe(self) -> int:
         """Sample an outcome at the current location without moving."""
-        column = self._outcome_table[:, state_index(self.true_context, self.current_location)]
+        state = state_index(self.true_context, self.current_location)
         draw = self.rng.random()
-        return int(np.searchsorted(np.cumsum(column), draw, side="right"))
+        return int(np.searchsorted(self._cumulative_outcomes[:, state], draw, side="right"))
 
     def step(self, action: int) -> int:
         """Move per the deterministic rule, then sample the outcome there."""

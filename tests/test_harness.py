@@ -1,4 +1,5 @@
 """Trial loop, experiment driver, persistence, and CLI parsing."""
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from efeplan.cli import UsageError, config_from_args, main, parse_cli
@@ -29,7 +32,14 @@ from efeplan.model import (
 )
 from efeplan.numerics import Categorical
 from efeplan.planning import ObjectiveKind, PlanContext, evidence_bound_diagnostic
-from efeplan.tmaze import BLACK, WHITE, build_tmaze_model, score_outcome
+from efeplan.tmaze import (
+    BLACK,
+    WHITE,
+    TmazeEnv,
+    build_tmaze_model,
+    default_context,
+    score_outcome,
+)
 
 
 def _config(**kwargs) -> ExperimentConfig:
@@ -239,6 +249,77 @@ class TestRunExperiment:
             run_experiment(_config(trials=1, model_path=str(path)))
 
 
+def _float_hex(x):
+    """x with every float spelled as its hex string, so NaN equals NaN and a
+    difference in the last bit shows."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, tuple):
+        return tuple(_float_hex(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,
+                *(_float_hex(getattr(x, f.name)) for f in dataclasses.fields(x)))
+    return x
+
+
+def _memo_free_trials(config: ExperimentConfig) -> tuple:
+    """run_experiment's trials on the maze, planned afresh at every epoch with
+    a new environment per trial."""
+    model = build_tmaze_model(config.reward_prob)
+    trials, cumulative = [], 0
+    for trial in range(1, config.trials + 1):
+        env_rng, tie_rng = _trial_rngs(config.seed, trial)
+        env = TmazeEnv(rng=env_rng, reward_prob=config.reward_prob)
+        env.reset(default_context(trial))
+        record = run_trial(model, env, config, tie_rng, trial=trial,
+                           cumulative_before=cumulative)
+        cumulative = record.cumulative_score
+        trials.append(record)
+    return tuple(trials)
+
+
+class TestHistoryMemo:
+    @pytest.mark.parametrize("agent", ["efe", "eig", "eu"])
+    def test_matches_memo_free_loop_on_the_maze(self, agent):
+        for seed in (0, 7, 31):
+            config = _config(agent=ObjectiveKind(agent), seed=seed)
+            got = run_experiment(config).trials
+            assert _float_hex(got) == _float_hex(_memo_free_trials(config)), seed
+
+    def test_memo_is_scoped_to_one_run(self):
+        # back to back, each run meets the histories of the one before it
+        for config in (
+            _config(trials=13),
+            _config(trials=13, precision=4.0),
+            _config(trials=13, agent=ObjectiveKind.INFO_GAIN_ONLY),
+            _config(trials=13, reward_prob=0.6),
+        ):
+            got = run_experiment(config).trials
+            assert _float_hex(got) == _float_hex(_memo_free_trials(config)), config
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shared_memo_matches_no_memo_on_random_models(self, seed):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(
+            rng, max_states=4, max_outcomes=3, max_actions=3, min_horizon=2, max_horizon=4,
+            all_policies=True, risk_prior=True,
+        )
+        for agent in ObjectiveKind:
+            config = _config(agent=agent)
+            memo, planned = {}, 0
+            for trial in range(1, 7):  # at most 3 first observations: epoch 1 repeats
+                records = [
+                    run_trial(model, _ModelEnv(model, np.random.default_rng([seed, trial])),
+                              config, np.random.default_rng([seed, trial, 1]),
+                              trial=trial, memo=shared)
+                    for shared in (memo, None)
+                ]
+                assert _float_hex(records[0]) == _float_hex(records[1]), (agent, trial)
+                planned += len(records[0].epochs)
+            assert len(memo) < planned, agent
+
+
 class TestWriteRecords:
     def test_row_counts(self, efe_record, tmp_path):
         write_records(efe_record, tmp_path, "csv")
@@ -382,6 +463,8 @@ class TestParseCli:
         half_column = tmp_path / "half_column.json"
         doc["A"][0][0] = 0.5
         half_column.write_text(json.dumps(doc))
+        not_utf8 = tmp_path / "not_utf8.json"
+        not_utf8.write_bytes(b"\xff\xfe")
         table = [
             (["run", "--agent", "bogus"], 1),
             (["run", "--reward-prob", "nan"], 1),
@@ -407,6 +490,9 @@ class TestParseCli:
             (["validate", "--model", str(huge_c)], 2),
             (["validate", "--model", str(bad_d)], 2),
             (["validate", "--model", str(half_column)], 2),
+            (["validate", "--model", str(not_utf8)], 2),
+            (["run", "--model", str(not_utf8), "--trials", "1"], 2),
+            (["decompose", "--model", str(not_utf8)], 2),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]
         for argv, code in table:
