@@ -14,25 +14,17 @@ import numpy as np
 
 from .harness import (
     ExperimentConfig,
-    _require_maze_shape,
+    _maze_model,
     _resolve_model,
-    _trial_rngs,
+    _scheduled_trial,
     emit_plot_data,
     run_experiment,
-    run_trial,
     write_records,
 )
-from .model import GenerativeModel, ModelSpecError, load_spec, validate
+from .model import ModelSpecError, load_spec
 from .numerics import normalize
 from .planning import ConfigurationError, ObjectiveKind, PlanContext, score_policies
-from .tmaze import (
-    ACTION_LABELS,
-    CONTEXT_LABELS,
-    OUTCOME_LABELS,
-    TmazeEnv,
-    build_tmaze_model,
-    default_context,
-)
+from .tmaze import ACTION_LABELS, CONTEXT_LABELS, OUTCOME_LABELS, TmazeEnv
 
 AGENT_NAMES = tuple(kind.value for kind in ObjectiveKind)
 
@@ -108,12 +100,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _load_model(args) -> GenerativeModel:
-    if args.model is not None:
-        return load_spec(args.model)
-    return build_tmaze_model(getattr(args, "reward_prob", 0.98))
-
-
 def _cmd_run(args) -> int:
     config = config_from_args(args)
     record = run_experiment(config)
@@ -147,12 +133,9 @@ def _cmd_trial(args) -> int:
     config = config_from_args(args)
     if args.trial < 1:
         raise UsageError(f"--trial must be >= 1, got {args.trial}")
-    model = _resolve_model(config)
-    _require_maze_shape(model)
-    env_rng, tie_rng = _trial_rngs(config.seed, args.trial)
-    env = TmazeEnv(rng=env_rng, reward_prob=config.reward_prob)
-    env.reset(default_context(args.trial))
-    record = run_trial(model, env, config, tie_rng, trial=args.trial)
+    model = _maze_model(config)
+    env = TmazeEnv(rng=None, reward_prob=config.reward_prob)
+    record = _scheduled_trial(model, env, config, args.trial)
 
     print(f"trial {record.trial}: context={CONTEXT_LABELS[record.true_context]} "
           f"agent={config.agent.value}")
@@ -170,10 +153,8 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    model = _load_model(args)
-    violations = validate(model)
-    if violations:
-        raise ModelSpecError("invalid model: " + "; ".join(violations))
+    agent = ObjectiveKind(args.agent)
+    model = _resolve_model(args.model, ExperimentConfig.reward_prob, agent)  # no --reward-prob
     if not 1 <= args.epoch < model.horizon:
         raise UsageError(
             f"--epoch must be a planning epoch 1..{model.horizon - 1}, got {args.epoch}"
@@ -200,7 +181,7 @@ def _cmd_decompose(args) -> int:
     viable = [p for p in model.policies if p.actions[: len(executed)] == executed]
     if not viable:
         raise UsageError(f"no policy starts with the executed actions {executed}")
-    scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, ObjectiveKind(args.agent))))
+    scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, agent)))
     g_values = [scores[p].total if p in scores else math.nan for p in model.policies]
     sums = [scores[p].summed if p in scores else None for p in model.policies]
     print("\n".join(_breakdown_lines(model, g_values, sums)))

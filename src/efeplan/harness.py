@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .inference import ImpossibleObservationError, bma_beliefs, infer_states
-from .model import GenerativeModel, ModelSpecError, load_spec, validate
+from .model import GenerativeModel, ModelSpecError, load_spec
 from .numerics import Categorical
 from .planning import (
     ConfigurationError,
@@ -213,29 +213,28 @@ def run_trial(
     )
 
 
-def _resolve_model(config: ExperimentConfig) -> GenerativeModel:
-    if config.model_path is not None:
-        model = load_spec(config.model_path)
-    else:
-        model = build_tmaze_model(config.reward_prob)
-    violations = validate(model)
-    if violations:
-        raise ModelSpecError("invalid model: " + "; ".join(violations))
-    if config.agent in _OBJECTIVES_NEEDING_PRIOR and model.risk_state_prior is None:
+def _resolve_model(model_path: str | None, reward_prob: float,
+                   agent: ObjectiveKind) -> GenerativeModel:
+    """The spec at model_path (load_spec validates it), else the built-in maze."""
+    model = build_tmaze_model(reward_prob) if model_path is None else load_spec(model_path)
+    if agent in _OBJECTIVES_NEEDING_PRIOR and model.risk_state_prior is None:
         raise ConfigurationError(
-            f"agent '{config.agent.value}' requires a model spec that provides "
+            f"agent '{agent.value}' requires a model spec that provides "
             "risk_state_prior (the built-in maze model does not define one)"
         )
     return model
 
 
-def _require_maze_shape(model: GenerativeModel) -> None:
+def _maze_model(config: ExperimentConfig) -> GenerativeModel:
+    """The config's model; the experiment driver and its env need the maze's shape."""
+    model = _resolve_model(config.model_path, config.reward_prob, config.agent)
     shape = (model.num_states, model.num_outcomes, model.num_actions, model.horizon)
     if shape != (8, 7, 4, 3):
         raise ModelSpecError(
             f"the experiment driver needs a maze-shaped model "
             f"(8 states, 7 outcomes, 4 actions, horizon 3); got {shape}"
         )
+    return model
 
 
 def _trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -252,21 +251,32 @@ def _trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.G
     )
 
 
+def _scheduled_trial(
+    model: GenerativeModel,
+    env: TmazeEnv,
+    config: ExperimentConfig,
+    trial: int,
+    cumulative_before: int = 0,
+    memo: dict | None = None,
+) -> TrialRecord:
+    """Trial `trial` of config's schedule: set its generators and context, then run it."""
+    env.rng, tie_rng = _trial_rngs(config.seed, trial)
+    env.reset(default_context(trial))
+    return run_trial(
+        model, env, config, tie_rng, trial=trial, cumulative_before=cumulative_before, memo=memo
+    )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Run the scheduled trials; fully deterministic for a given config."""
     start = time.perf_counter()
-    model = _resolve_model(config)
-    _require_maze_shape(model)
+    model = _maze_model(config)
     records: list[TrialRecord] = []
     cumulative = 0
     memo: dict = {}  # one model and config: every history plans the same way
     env = TmazeEnv(rng=None, reward_prob=config.reward_prob)  # each trial sets its generator
     for trial in range(1, config.trials + 1):
-        env.rng, tie_rng = _trial_rngs(config.seed, trial)
-        env.reset(default_context(trial))
-        record = run_trial(
-            model, env, config, tie_rng, trial=trial, cumulative_before=cumulative, memo=memo
-        )
+        record = _scheduled_trial(model, env, config, trial, cumulative, memo)
         cumulative = record.cumulative_score
         records.append(record)
 
@@ -335,7 +345,6 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
 
     trials_rows = []
     beliefs_rows = []
-    policies_rows = []
     breakdown_rows = []
     for tr in record.trials:
         planning_epochs = [e for e in tr.epochs if e.action is not None]
@@ -350,8 +359,6 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
             beliefs_rows.append(
                 [tr.trial, e.epoch, *_state_marginal_values(e.bma_states[e.epoch - 1])]
             )
-        final_planning = planning_epochs[-1]
-        policies_rows.append([tr.trial, *final_planning.policy_posterior])
         for e in planning_epochs:
             for i in range(num_policies):
                 b = e.breakdowns[i]
@@ -375,10 +382,7 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
             ["trial", "epoch", *_state_marginal_columns(num_states)],
             beliefs_rows,
         ),
-        "policies": (
-            ["trial", *[f"policy{i + 1}" for i in range(num_policies)]],
-            policies_rows,
-        ),
+        "policies": _policy_table(record),
         "breakdown": (
             ["trial", "epoch", "policy", "viable",
              "risk", "ambiguity", "intrinsic", "extrinsic", "G"],
@@ -387,10 +391,22 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
     }
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(x) for x in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _policy_table(record: ExperimentRecord) -> tuple[list[str], list[list]]:
+    """Per trial, the policy posterior of its final planning epoch."""
+    rows = [[tr.trial, *[e for e in tr.epochs if e.action is not None][-1].policy_posterior]
+            for tr in record.trials]
+    return ["trial", *[f"policy{i}" for i in range(1, len(rows[0]))]], rows
+
+
+def _write_csvs(out: Path, tables: dict[str, tuple[list[str], list[list]]]) -> list[Path]:
+    """Write each (header, rows) table to out/<name>.csv."""
+    written = []
+    for name, (header, rows) in tables.items():
+        path = out / f"{name}.csv"
+        lines = [",".join(header), *(",".join(_fmt(x) for x in row) for row in rows)]
+        path.write_text("\n".join(lines) + "\n")
+        written.append(path)
+    return written
 
 
 def write_records(record: ExperimentRecord, output_dir, fmt: str = "csv") -> list[Path]:
@@ -398,12 +414,8 @@ def write_records(record: ExperimentRecord, output_dir, fmt: str = "csv") -> lis
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = build_tables(record)
-    written: list[Path] = []
     if fmt == "csv":
-        for name, (header, rows) in tables.items():
-            path = out / f"{name}.csv"
-            _write_csv(path, header, rows)
-            written.append(path)
+        written = _write_csvs(out, tables)
         config_path = out / "config.json"
         config_path.write_text(json.dumps(_config_echo(record.config), indent=2) + "\n")
         written.append(config_path)
@@ -415,7 +427,7 @@ def write_records(record: ExperimentRecord, output_dir, fmt: str = "csv") -> lis
             ]
         path = out / "records.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
-        written.append(path)
+        written = [path]
     else:
         raise ValueError(f"unknown output format: {fmt!r}")
     return written
@@ -446,46 +458,23 @@ def emit_plot_data(record: ExperimentRecord, output_dir) -> list[Path]:
         raise ValueError("plot data emission expects the 8-state maze layout")
 
     held_cols = [f"at_epoch{h}" for h in range(1, horizon + 1)]
-    position_rows = []
-    context_rows = []
-    for about in range(1, horizon + 1):
-        grids = [
-            np.asarray(first.epochs[h - 1].bma_states[about - 1]).reshape(2, 4)
-            for h in range(1, horizon + 1)
-        ]
-        for loc in range(4):
-            position_rows.append(
-                [about, LOCATION_LABELS[loc], *[float(g.sum(axis=0)[loc]) for g in grids]]
-            )
-        for ctx in range(2):
-            context_rows.append(
-                [about, CONTEXT_LABELS[ctx], *[float(g.sum(axis=1)[ctx]) for g in grids]]
-            )
-
-    written = []
-    path = out / "fig2_position_trial1.csv"
-    _write_csv(path, ["epoch", "location", *held_cols], position_rows)
-    written.append(path)
-    path = out / "fig2_context_trial1.csv"
-    _write_csv(path, ["epoch", "context", *held_cols], context_rows)
-    written.append(path)
-
-    num_policies = len(first.epochs[0].policy_posterior)
-    policy_rows = []
-    score_rows = []
-    for tr in record.trials:
-        final_planning = [e for e in tr.epochs if e.action is not None][-1]
-        policy_rows.append([tr.trial, *final_planning.policy_posterior])
-        score_rows.append([tr.trial, CONTEXT_LABELS[tr.true_context], tr.cumulative_score])
-    path = out / "fig3_policies.csv"
-    _write_csv(path, ["trial", *[f"policy{i + 1}" for i in range(num_policies)]], policy_rows)
-    written.append(path)
-    path = out / "fig3_score.csv"
-    _write_csv(path, ["trial", "context", "cumulative"], score_rows)
-    written.append(path)
-
+    # marginals[about][held]: location then context marginals of the belief
+    # about timestep about+1 held at epoch held+1
+    marginals = [[_state_marginal_values(e.bma_states[about]) for e in first.epochs]
+                 for about in range(horizon)]
+    position_rows = [[about + 1, LOCATION_LABELS[loc], *[m[loc] for m in held]]
+                     for about, held in enumerate(marginals) for loc in range(4)]
+    context_rows = [[about + 1, CONTEXT_LABELS[ctx], *[m[4 + ctx] for m in held]]
+                    for about, held in enumerate(marginals) for ctx in range(2)]
     bands = _black_bands([tr.true_context for tr in record.trials])
-    path = out / "fig3_context_bands.csv"
-    _write_csv(path, ["start", "end"], [list(band) for band in bands])
-    written.append(path)
-    return written
+    return _write_csvs(out, {
+        "fig2_position_trial1": (["epoch", "location", *held_cols], position_rows),
+        "fig2_context_trial1": (["epoch", "context", *held_cols], context_rows),
+        "fig3_policies": _policy_table(record),
+        "fig3_score": (
+            ["trial", "context", "cumulative"],
+            [[tr.trial, CONTEXT_LABELS[tr.true_context], tr.cumulative_score]
+             for tr in record.trials],
+        ),
+        "fig3_context_bands": (["start", "end"], [list(band) for band in bands]),
+    })

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NORM_TOL, Categorical
+from .numerics import NORM_TOL, Categorical, log_sum_exp
 
 
 class ModelSpecError(ValueError):
@@ -141,8 +141,10 @@ def validate(model: GenerativeModel) -> list[str]:
         v.append(
             f"preferences has length {model.preferences.shape}, expected {model.num_outcomes}"
         )
-    else:
-        _check_finite("preferences", model.preferences, v)
+    elif _check_finite("preferences", model.preferences, v):
+        with np.errstate(over="ignore"):  # an overflow is the -inf reported here
+            log_preferences = model.preferences - log_sum_exp(model.preferences)
+        _check_finite("normalised log-preferences", log_preferences, v)
     if len(model.state_prior) != model.num_states:
         v.append(f"state prior has length {len(model.state_prior)}, expected {model.num_states}")
     if model.risk_state_prior is not None and len(model.risk_state_prior) != model.num_states:
@@ -254,13 +256,16 @@ def load_spec(path) -> GenerativeModel:
     raw_policies = doc["policies"]
     if not isinstance(raw_policies, list) or not raw_policies:
         raise ModelSpecError("policies must be a nonempty list of integer lists")
-    policies = []
+    policies: dict[Policy, int] = {}  # policy -> its index, in file order
     for i, seq in enumerate(raw_policies):
         if not isinstance(seq, list) or not all(
             isinstance(x, int) and not isinstance(x, bool) for x in seq
         ):
             raise ModelSpecError(f"policies[{i}] must be a list of integers")
-        policies.append(Policy(tuple(seq)))
+        policy = Policy(tuple(seq))
+        if policy in policies:
+            raise ModelSpecError(f"policies[{i}] = {seq} repeats policies[{policies[policy]}]")
+        policies[policy] = i
 
     risk_prior = None
     if doc.get("risk_state_prior") is not None:

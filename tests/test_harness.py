@@ -84,6 +84,10 @@ def _save_contradicting_maze(path) -> None:
 RUN_OUT_SHA256 = json.loads(
     (Path(__file__).parent / "data" / "run_out_sha256.json").read_text()
 )
+# sha256 of the stdout of `efeplan trial` and `efeplan decompose`, keyed by argv
+CLI_STDOUT_SHA256 = json.loads(
+    (Path(__file__).parent / "data" / "cli_stdout_sha256.json").read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -465,6 +469,11 @@ class TestParseCli:
         half_column.write_text(json.dumps(doc))
         not_utf8 = tmp_path / "not_utf8.json"
         not_utf8.write_bytes(b"\xff\xfe")
+        doc = json.loads(bad_risk.read_text())
+        repeated = tmp_path / "repeated_policy.json"
+        repeated.write_text(json.dumps({**doc, "policies": doc["policies"] + [[0, 3]]}))
+        overflow_c = tmp_path / "overflow_c.json"
+        overflow_c.write_text(json.dumps({**doc, "C": [-1e308, 1e308, 0, 0, 0, 0, 0]}))
         table = [
             (["run", "--agent", "bogus"], 1),
             (["run", "--reward-prob", "nan"], 1),
@@ -493,6 +502,13 @@ class TestParseCli:
             (["validate", "--model", str(not_utf8)], 2),
             (["run", "--model", str(not_utf8), "--trials", "1"], 2),
             (["decompose", "--model", str(not_utf8)], 2),
+            (["validate", "--model", str(repeated)], 2),
+            (["run", "--model", str(repeated), "--trials", "1"], 2),
+            (["decompose", "--model", str(repeated)], 2),
+            (["validate", "--model", str(overflow_c)], 2),
+            (["run", "--model", str(overflow_c), "--trials", "1"], 2),
+            (["decompose", "--model", str(overflow_c)], 2),
+            (["decompose", "--agent", "klc"], 2),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]
         for argv, code in table:
@@ -501,6 +517,8 @@ class TestParseCli:
             assert len(err.splitlines()) == 1, (argv, err)
             assert "Traceback" not in err, argv
             assert "np." not in err, (argv, err)  # values print as Python floats
+            if argv[-2:] == ["--agent", "klc"]:
+                assert "risk_state_prior" in err, err  # the message run prints
 
     def test_main_run_and_validate_succeed(self, tmp_path, capsys):
         save_spec(build_tmaze_model(), tmp_path / "maze.json")
@@ -509,6 +527,12 @@ class TestParseCli:
         assert main(["run", "--trials", "1", "--precision", "1e308"]) == 0
         assert (tmp_path / "out" / "trials.csv").exists()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(CLI_STDOUT_SHA256))
+    def test_trial_and_decompose_stdout_match_goldens(self, command, capsys):
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[command]
 
     def test_main_trial_and_decompose_succeed(self, capsys):
         assert main(["trial", "--agent", "eu", "--seed", "0"]) == 0

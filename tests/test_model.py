@@ -15,7 +15,7 @@ from efeplan.model import (
     validate,
 )
 from efeplan.numerics import Categorical
-from efeplan.tmaze import build_tmaze_model
+from efeplan.tmaze import TMAZE_POLICIES, build_tmaze_model
 
 
 def _broken_copy(model: GenerativeModel, **overrides) -> GenerativeModel:
@@ -168,6 +168,11 @@ _ARRAY_ERRORS = [
     ("D", (4,), None, "D[4] is not a number: None"),
     ("D", (4,), -0.25, "D[4] = -0.25: negative probability"),
     ("D", (4,), -(10**400), "D[4] is an integer too large for a float"),
+    # C - log_sum_exp(C) is -inf at entry 0, and 0 * -inf is NaN in the extrinsic term
+    ("C", None, [-1e308, 1e308, 0, 0, 0, 0, 0],
+     "invalid model: normalised log-preferences entry [0] is -inf, expected a finite number"),
+    ("policies", None, [list(actions) for actions in TMAZE_POLICIES] + [[3, 1]],
+     "policies[10] = [3, 1] repeats policies[7]"),
 ]
 
 

@@ -24,8 +24,9 @@ class TestBuildModel:
         assert len(model.policies) == 10
         assert tuple(p.actions for p in model.policies) == TMAZE_POLICIES
 
-    def test_validates_clean(self):
-        assert validate(build_tmaze_model()) == []
+    @pytest.mark.parametrize("reward_prob", [0.0, 0.5, 0.98, 1.0])
+    def test_validates_clean(self, reward_prob):
+        assert validate(build_tmaze_model(reward_prob)) == []
 
     def test_center_columns_are_identical_in_both_contexts(self):
         model = build_tmaze_model()
