@@ -75,7 +75,6 @@ def parse_cli(argv) -> argparse.Namespace:
     dec_p.add_argument("--epoch", type=int, default=1, help="planning epoch (default: 1)")
     dec_p.add_argument("--executed", default="",
                        help="comma-separated actions already executed before the epoch")
-    dec_p.add_argument("--precision", type=float, default=1.0)
 
     val_p = sub.add_parser("validate", help="check a model spec file")
     val_p.add_argument("--model", required=True, help="model spec file")
@@ -93,8 +92,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             tie_tolerance=args.tie_tolerance,
             reward_prob=args.reward_prob,
             model_path=args.model,
-            output_dir=getattr(args, "out", None),
-            output_format=getattr(args, "format", "csv"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -105,9 +102,9 @@ def _cmd_run(args) -> int:
     record = run_experiment(config)
     print(f"agent={config.agent.value} trials={config.trials} seed={config.seed} "
           f"final-score={record.final_score} duration={record.duration_seconds:.3f}s")
-    if config.output_dir is not None:
-        written = write_records(record, config.output_dir, config.output_format)
-        written += emit_plot_data(record, config.output_dir)
+    if args.out is not None:
+        written = write_records(record, args.out, args.format)
+        written += emit_plot_data(record, args.out)
         for path in written:
             print(f"wrote {path}")
     return 0
@@ -153,8 +150,11 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    agent = ObjectiveKind(args.agent)
-    model = _resolve_model(args.model, ExperimentConfig.reward_prob, agent)  # no --reward-prob
+    model = _resolve_model(args.model, ExperimentConfig.reward_prob)  # no --reward-prob
+    if model.horizon < 2:
+        raise ModelSpecError(
+            f"decompose needs a model with a planning epoch; horizon {model.horizon} has none"
+        )
     if not 1 <= args.epoch < model.horizon:
         raise UsageError(
             f"--epoch must be a planning epoch 1..{model.horizon - 1}, got {args.epoch}"
@@ -170,17 +170,13 @@ def _cmd_decompose(args) -> int:
             raise UsageError(f"--beliefs needs {model.num_states} entries, got {len(q_now)}")
     try:
         executed = tuple(int(x) for x in args.executed.split(",")) if args.executed else ()
-        ctx = PlanContext(
-            current_epoch=args.epoch,
-            executed_actions=executed,
-            precision=args.precision,
-            prior_states_for_risk=model.risk_state_prior,
-        )
+        ctx = PlanContext(current_epoch=args.epoch, executed_actions=executed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    viable = [p for p in model.policies if p.actions[: len(executed)] == executed]
+    viable = [model.policies[i] for i in ctx.viable(model.policies)]
     if not viable:
         raise UsageError(f"no policy starts with the executed actions {executed}")
+    agent = ObjectiveKind(args.agent)
     scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, agent)))
     g_values = [scores[p].total if p in scores else math.nan for p in model.policies]
     sums = [scores[p].summed if p in scores else None for p in model.policies]

@@ -20,7 +20,6 @@ from .inference import ImpossibleObservationError, bma_beliefs, infer_states
 from .model import GenerativeModel, ModelSpecError, load_spec
 from .numerics import Categorical
 from .planning import (
-    ConfigurationError,
     EfeBreakdown,
     ObjectiveKind,
     PlanContext,
@@ -39,8 +38,6 @@ from .tmaze import (
     score_outcome,
 )
 
-_OBJECTIVES_NEEDING_PRIOR = (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -51,8 +48,6 @@ class ExperimentConfig:
     tie_tolerance: float = 1e-9
     reward_prob: float = 0.98
     model_path: str | None = None
-    output_dir: str | None = None
-    output_format: str = "csv"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -67,8 +62,6 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.reward_prob <= 1.0:
             raise ValueError(f"reward_prob must lie in [0, 1], got {self.reward_prob!r}")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output_format must be csv or json, got {self.output_format!r}")
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,8 @@ def _plan_epoch(
     horizon = model.horizon
     epoch = len(observations)
     observed = tuple(enumerate(observations, start=1))
-    viable = [i for i, pol in enumerate(policies) if pol.actions[: len(executed)] == executed]
+    ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
+    viable = ctx.viable(policies)
     # Viable policies share the executed prefix, so they share its filtered
     # beliefs; they differ only in the predictions past the current epoch.
     try:
@@ -128,12 +122,6 @@ def _plan_epoch(
         raise ImpossibleObservationError(str(exc), trial, epoch) from exc
     filtered_rows = np.array([q.probs for q in filtered])
 
-    ctx = PlanContext(
-        current_epoch=epoch,
-        executed_actions=executed,
-        precision=config.precision,
-        prior_states_for_risk=model.risk_state_prior,
-    )
     g = np.full(len(policies), math.nan)
     breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
     beliefs: list[np.ndarray | None] = [None] * len(policies)
@@ -150,7 +138,7 @@ def _plan_epoch(
         for i in viable:
             beliefs[i] = filtered_rows
 
-    post = policy_posterior(g, policies, ctx)
+    post = policy_posterior(g, policies, ctx, config.precision)
     marg = None
     if epoch < horizon:
         marg = action_marginal(post, policies, epoch, model.num_actions)
@@ -213,21 +201,14 @@ def run_trial(
     )
 
 
-def _resolve_model(model_path: str | None, reward_prob: float,
-                   agent: ObjectiveKind) -> GenerativeModel:
+def _resolve_model(model_path: str | None, reward_prob: float) -> GenerativeModel:
     """The spec at model_path (load_spec validates it), else the built-in maze."""
-    model = build_tmaze_model(reward_prob) if model_path is None else load_spec(model_path)
-    if agent in _OBJECTIVES_NEEDING_PRIOR and model.risk_state_prior is None:
-        raise ConfigurationError(
-            f"agent '{agent.value}' requires a model spec that provides "
-            "risk_state_prior (the built-in maze model does not define one)"
-        )
-    return model
+    return build_tmaze_model(reward_prob) if model_path is None else load_spec(model_path)
 
 
 def _maze_model(config: ExperimentConfig) -> GenerativeModel:
     """The config's model; the experiment driver and its env need the maze's shape."""
-    model = _resolve_model(config.model_path, config.reward_prob, config.agent)
+    model = _resolve_model(config.model_path, config.reward_prob)
     shape = (model.num_states, model.num_outcomes, model.num_actions, model.horizon)
     if shape != (8, 7, 4, 3):
         raise ModelSpecError(
@@ -312,7 +293,8 @@ def _jsonable(x):
     return x
 
 
-def _config_echo(config: ExperimentConfig) -> dict:
+def _config_echo(config: ExperimentConfig, fmt: str) -> dict:
+    """The config's fields plus the format the records were written in."""
     return {
         "agent": config.agent.value,
         "trials": config.trials,
@@ -321,7 +303,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "tie_tolerance": config.tie_tolerance,
         "reward_prob": config.reward_prob,
         "model_path": config.model_path,
-        "output_format": config.output_format,
+        "output_format": fmt,
     }
 
 
@@ -417,10 +399,10 @@ def write_records(record: ExperimentRecord, output_dir, fmt: str = "csv") -> lis
     if fmt == "csv":
         written = _write_csvs(out, tables)
         config_path = out / "config.json"
-        config_path.write_text(json.dumps(_config_echo(record.config), indent=2) + "\n")
+        config_path.write_text(json.dumps(_config_echo(record.config, fmt), indent=2) + "\n")
         written.append(config_path)
     elif fmt == "json":
-        doc = {"config": _config_echo(record.config)}
+        doc = {"config": _config_echo(record.config, fmt)}
         for name, (header, rows) in tables.items():
             doc[name] = [
                 {key: _jsonable(value) for key, value in zip(header, row)} for row in rows

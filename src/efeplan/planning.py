@@ -4,10 +4,10 @@ The full planning objective for a future timestep combines two values to be
 maximized: expected information gain about states (how much a predicted
 outcome would update state beliefs) and extrinsic value (expected normalized
 log-preference of predicted outcomes). Reduced objectives keep one of the two
-or score states against a reference prior instead. Per-timestep scores are
-summed over the remaining horizon and mapped to a policy distribution by a
-softmax at a configurable precision, restricted to policies consistent with
-the actions already executed.
+or score states against the model's risk_state_prior instead. Per-timestep
+scores are summed over the remaining horizon and mapped to a policy
+distribution by a softmax at a given precision, restricted to policies
+consistent with the actions already executed.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from .numerics import (
 
 
 class ConfigurationError(ValueError):
-    """Raised when an objective needs inputs the plan context does not carry."""
+    """Raised when an objective needs a model field the model does not define."""
 
 
 class ObjectiveKind(Enum):
@@ -47,8 +47,8 @@ class ObjectiveKind(Enum):
 class EfeBreakdown:
     """Score components for one (policy, timestep), all in nats.
 
-    risk_states needs a reference state prior; it is NaN when the plan context
-    does not provide one.
+    risk_states needs the model's risk_state_prior; it is NaN when the model
+    does not define one.
     """
 
     risk_states: float
@@ -60,12 +60,10 @@ class EfeBreakdown:
 
 @dataclass(frozen=True)
 class PlanContext:
-    """Where the planner stands: epoch, history, precision and risk prior."""
+    """Where the planner stands: the epoch and the actions executed before it."""
 
     current_epoch: int
     executed_actions: tuple[int, ...] = ()
-    precision: float = 1.0
-    prior_states_for_risk: Categorical | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "executed_actions", tuple(int(a) for a in self.executed_actions))
@@ -74,8 +72,11 @@ class PlanContext:
                 f"expected {self.current_epoch - 1} executed actions for epoch "
                 f"{self.current_epoch}, got {len(self.executed_actions)}"
             )
-        if not (math.isfinite(self.precision) and self.precision >= 0.0):
-            raise ValueError(f"precision must be a nonnegative real, got {self.precision!r}")
+
+    def viable(self, policies: Sequence[Policy]) -> list[int]:
+        """Indices of the policies whose action prefix matches the executed actions."""
+        executed = self.executed_actions
+        return [i for i, pol in enumerate(policies) if pol.actions[: len(executed)] == executed]
 
 
 def predictive_states(
@@ -252,15 +253,16 @@ def score_policies(
     Policies that share actions after the current epoch share predictions:
     the scorer walks the tree of remaining-action prefixes and predicts and
     scores each distinct prefix once. Every component is populated regardless
-    of objective.
+    of objective; risk is NaN when the model has no risk_state_prior, and the
+    eu-states and klc objectives, which score against it, are refused.
     """
     t = plan_ctx.current_epoch
     if t >= model.horizon:
         raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
-    prior = plan_ctx.prior_states_for_risk
+    prior = model.risk_state_prior
     if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and prior is None:
         raise ConfigurationError(
-            f"objective {objective.value} requires prior_states_for_risk in the plan context"
+            f"objective {objective.value} needs a model that defines risk_state_prior"
         )
 
     kernel = _TimestepKernel(model, prior, objective)
@@ -305,22 +307,22 @@ def policy_posterior(
     g_values,
     policies: PolicySet,
     plan_ctx: PlanContext,
+    precision: float = 1.0,
 ) -> Categorical:
-    """Softmax of negative scores at the context precision, restricted to
-    policies whose action prefix matches the executed actions."""
+    """Softmax of negative scores at precision, a nonnegative inverse
+    temperature (0 is uniform, a huge value the argmax limit), over the
+    policies plan_ctx.viable keeps; the rest get zero."""
     g = np.asarray(g_values, dtype=np.float64)
     if g.shape != (len(policies),):
         raise ValueError(f"expected one score per policy ({len(policies)}), got shape {g.shape}")
-    executed = plan_ctx.executed_actions
-    viable = [
-        i for i, pol in enumerate(policies)
-        if pol.actions[: len(executed)] == executed
-    ]
+    viable = plan_ctx.viable(policies)
     if not viable:
-        raise ValueError(f"no policy is consistent with executed actions {executed}")
+        raise ValueError(
+            f"no policy is consistent with executed actions {plan_ctx.executed_actions}"
+        )
     if not np.all(np.isfinite(g[viable])):
         raise ValueError("scores of viable policies must be finite")
-    kept = softmax(-g[viable], plan_ctx.precision)
+    kept = softmax(-g[viable], precision)
     probs = np.zeros(len(policies))
     probs[viable] = kept.probs
     return Categorical(probs)

@@ -214,7 +214,7 @@ def reference_scores(model: GenerativeModel, q_now: Categorical, policies, plan_
     The arithmetic is that of the planner's per-timestep kernel, so results
     compare exactly."""
     t = plan_ctx.current_epoch
-    prior = plan_ctx.prior_states_for_risk
+    prior = model.risk_state_prior
     results = []
     for policy in policies:
         total, parts, states = 0.0, [], []

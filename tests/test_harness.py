@@ -14,6 +14,7 @@ import helpers
 from efeplan.cli import UsageError, config_from_args, main, parse_cli
 from efeplan.harness import (
     ExperimentConfig,
+    ExperimentRecord,
     _trial_rngs,
     build_tables,
     emit_plot_data,
@@ -31,7 +32,13 @@ from efeplan.model import (
     save_spec,
 )
 from efeplan.numerics import Categorical
-from efeplan.planning import ObjectiveKind, PlanContext, evidence_bound_diagnostic
+from efeplan.planning import (
+    ConfigurationError,
+    ObjectiveKind,
+    PlanContext,
+    evidence_bound_diagnostic,
+    score_policies,
+)
 from efeplan.tmaze import (
     BLACK,
     WHITE,
@@ -79,6 +86,16 @@ def _save_contradicting_maze(path) -> None:
     likelihood = build_tmaze_model().likelihood.copy()
     likelihood[5, 7], likelihood[6, 7] = 1.0, 0.0
     _save_maze(path, likelihood=likelihood)
+
+
+def _save_horizon_one(path) -> str:
+    """A valid two-state spec of horizon 1: one empty policy, no planning epoch."""
+    save_spec(GenerativeModel(
+        num_states=2, num_outcomes=2, num_actions=1, horizon=1,
+        likelihood=np.eye(2), transitions=(np.eye(2),), preferences=np.zeros(2),
+        state_prior=Categorical(np.array([0.5, 0.5])), policies=PolicySet((Policy(()),)),
+    ), path)
+    return str(path)
 
 
 RUN_OUT_SHA256 = json.loads(
@@ -365,6 +382,45 @@ class TestWriteRecords:
         assert len(doc["breakdown"]) == 50 * 2 * 10
         assert doc["trials"][0]["action1"] == "go-cue"
 
+    @pytest.mark.parametrize("fmt,name", [("csv", "config.json"), ("json", "records.json")])
+    def test_config_echo_names_the_written_format(self, tmp_path, fmt, name):
+        write_records(run_experiment(_config(trials=1)), tmp_path, fmt)
+        doc = json.loads((tmp_path / name).read_text())
+        assert doc.get("config", doc)["output_format"] == fmt
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_beliefs_of_a_generic_model_are_per_state(self, tmp_path, fmt):
+        # outcomes stay below 7 because score_outcome knows only the maze's
+        rng = np.random.default_rng(61)
+        model = helpers.random_model(rng, max_states=6, max_outcomes=6, min_horizon=2,
+                                     max_horizon=4)
+        config = _config()
+        trials, cumulative = [], 0
+        for t in (1, 2, 3):
+            env = _ModelEnv(model, np.random.default_rng([61, t]))
+            trials.append(run_trial(model, env, config, np.random.default_rng([62, t]),
+                                    trial=t, cumulative_before=cumulative))
+            cumulative = trials[-1].cumulative_score
+        record = ExperimentRecord(config=config, trials=tuple(trials), final_score=cumulative,
+                                  duration_seconds=0.0)
+        write_records(record, tmp_path, fmt)
+
+        header = ["trial", "epoch", *[f"state_{s}" for s in range(model.num_states)]]
+        if fmt == "csv":
+            lines = (tmp_path / "beliefs.csv").read_text().splitlines()
+            assert lines[0].split(",") == header
+            rows = [line.split(",") for line in lines[1:]]
+        else:
+            rows = json.loads((tmp_path / "records.json").read_text())["beliefs"]
+            assert all(list(row) == header for row in rows)
+            rows = [list(row.values()) for row in rows]
+        expected = [[tr.trial, e.epoch, *e.bma_states[e.epoch - 1]]
+                    for tr in trials for e in tr.epochs]
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert [int(x) for x in row[:2]] == want[:2]
+            assert [float(x) for x in row[2:]] == [float(f"{x:.12g}") for x in want[2:]]
+
     def test_byte_identical_across_runs(self, tmp_path):
         for sub in ("a", "b"):
             record = run_experiment(_config(trials=10, seed=5))
@@ -419,7 +475,6 @@ class TestParseCli:
         assert config.seed == 7
         assert config.precision == 1.0
         assert config.reward_prob == 0.98
-        assert config.output_format == "csv"
 
     def test_every_agent_name_maps(self):
         names = {
@@ -474,6 +529,9 @@ class TestParseCli:
         repeated.write_text(json.dumps({**doc, "policies": doc["policies"] + [[0, 3]]}))
         overflow_c = tmp_path / "overflow_c.json"
         overflow_c.write_text(json.dumps({**doc, "C": [-1e308, 1e308, 0, 0, 0, 0, 0]}))
+        json_list = tmp_path / "list.json"
+        json_list.write_text(json.dumps([doc]))
+        horizon_one = _save_horizon_one(tmp_path / "horizon_one.json")
         table = [
             (["run", "--agent", "bogus"], 1),
             (["run", "--reward-prob", "nan"], 1),
@@ -485,6 +543,8 @@ class TestParseCli:
             (["decompose", "--epoch", "3"], 1),
             (["decompose", "--beliefs", "1,2"], 1),
             (["decompose", "--epoch", "2", "--executed", "9"], 1),
+            (["decompose", "--epoch", "2", "--executed", "3,1"], 1),
+            (["decompose", "--precision", "1"], 1),
             (["run", "--seed", "-1"], 1),
             (["trial", "--seed", "-3"], 1),
             (["run", "--agent", "eu-states", "--trials", "1"], 2),
@@ -509,6 +569,8 @@ class TestParseCli:
             (["run", "--model", str(overflow_c), "--trials", "1"], 2),
             (["decompose", "--model", str(overflow_c)], 2),
             (["decompose", "--agent", "klc"], 2),
+            (["validate", "--model", str(json_list)], 2),
+            (["decompose", "--model", horizon_one], 2),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]
         for argv, code in table:
@@ -519,6 +581,21 @@ class TestParseCli:
             assert "np." not in err, (argv, err)  # values print as Python floats
             if argv[-2:] == ["--agent", "klc"]:
                 assert "risk_state_prior" in err, err  # the message run prints
+
+    def test_missing_risk_prior_reads_the_same_everywhere(self, capsys):
+        maze = build_tmaze_model()
+        with pytest.raises(ConfigurationError) as info:
+            score_policies(maze, maze.state_prior, maze.policies, PlanContext(current_epoch=1),
+                           ObjectiveKind.RISK_ONLY)
+        for command in ("run", "trial", "decompose"):
+            assert main([command, "--agent", "klc"]) == 2
+            assert capsys.readouterr().err == f"error: {info.value}\n", command
+
+    def test_decompose_names_the_horizon_without_a_planning_epoch(self, tmp_path, capsys):
+        assert main(["decompose", "--model", _save_horizon_one(tmp_path / "h1.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: decompose needs a model with a planning epoch; horizon 1 has none\n"
+        )
 
     def test_main_run_and_validate_succeed(self, tmp_path, capsys):
         save_spec(build_tmaze_model(), tmp_path / "maze.json")

@@ -1,4 +1,5 @@
 """Model validation and spec-file round trips."""
+import dataclasses
 import json
 
 import numpy as np
@@ -35,6 +36,26 @@ def _broken_copy(model: GenerativeModel, **overrides) -> GenerativeModel:
     return GenerativeModel(**fields)
 
 
+# (fields replaced on the built-in maze, each a value or a function of the maze,
+# every violation validate reports, in order)
+_SHAPE_VIOLATIONS = [
+    ({"likelihood": np.full((6, 8), 1 / 6)},
+     ["likelihood has shape (6, 8), expected (7, 8)"]),
+    ({"transitions": lambda maze: maze.transitions[:3]},
+     ["expected 4 transition matrices, got 3"]),
+    ({"transitions": lambda maze: (np.full((8, 7), 1 / 8),) + maze.transitions[1:]},
+     ["transition[0] has shape (8, 7), expected (8, 8)"]),
+    ({"preferences": np.zeros(6)}, ["preferences has length (6,), expected 7"]),
+    ({"state_prior": Categorical(np.full(7, 1 / 7))}, ["state prior has length 7, expected 8"]),
+    ({"risk_state_prior": Categorical(np.full(7, 1 / 7))},
+     ["risk state prior has length 7, expected 8"]),
+    ({"num_states": 0}, ["num_states, num_outcomes, num_actions must all be positive"]),
+    ({"horizon": 0},
+     ["horizon must be positive, got 0",
+      *[f"policy {i} has length 2, expected -1" for i in range(10)]]),
+]
+
+
 class TestValidate:
     def test_builtin_maze_is_clean(self):
         assert validate(build_tmaze_model()) == []
@@ -66,6 +87,14 @@ class TestValidate:
         bad[0, 0] -= 2.0
         violations = validate(_broken_copy(model, transitions=(bad,) + model.transitions[1:]))
         assert any("transition[0]" in v and "negative" in v for v in violations)
+
+    @pytest.mark.parametrize("changes,expected", _SHAPE_VIOLATIONS,
+                             ids=[case[1][0] for case in _SHAPE_VIOLATIONS])
+    def test_shape_violations(self, changes, expected):
+        maze = build_tmaze_model()
+        changes = {key: value(maze) if callable(value) else value
+                   for key, value in changes.items()}
+        assert validate(dataclasses.replace(maze, **changes)) == expected
 
 
 class TestValidModelsAreAcceptedDownstream:
@@ -173,6 +202,13 @@ _ARRAY_ERRORS = [
      "invalid model: normalised log-preferences entry [0] is -inf, expected a finite number"),
     ("policies", None, [list(actions) for actions in TMAZE_POLICIES] + [[3, 1]],
      "policies[10] = [3, 1] repeats policies[7]"),
+    ("num_states", None, 0, "num_states must be a positive integer, got 0"),
+    ("horizon", None, True, "horizon must be a positive integer, got True"),
+    ("B", None, 3, "B must be a list of 4 matrices"),
+    ("policies", None, [], "policies must be a nonempty list of integer lists"),
+    ("policies", (0,), ["a", 1], "policies[0] must be a list of integers"),
+    ("state_labels", None, ["x"], "state_labels must be a list of 8 strings"),
+    ("risk_state_prior", None, [1.0], "risk_state_prior must be a list of 8 numbers"),
 ]
 
 

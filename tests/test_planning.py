@@ -1,4 +1,5 @@
 """Policy scoring: pinned maze values, reduced objectives, diagnostics."""
+import dataclasses
 import math
 
 import numpy as np
@@ -244,9 +245,9 @@ class TestExpectedFreeEnergy:
             )
 
     def test_breakdown_fields_populated_for_every_objective(self):
-        model = build_tmaze_model()
         prior = Categorical(np.full(8, 1 / 8))
-        ctx = PlanContext(current_epoch=1, prior_states_for_risk=prior)
+        model = dataclasses.replace(build_tmaze_model(), risk_state_prior=prior)
+        ctx = PlanContext(current_epoch=1)
         for objective in ObjectiveKind:
             _, parts = expected_free_energy(
                 model, model.state_prior, model.policies[7], ctx, objective
@@ -267,7 +268,7 @@ class TestExpectedFreeEnergy:
         model = build_tmaze_model()
         ctx = PlanContext(current_epoch=1)
         for objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY):
-            with pytest.raises(ConfigurationError, match="prior_states_for_risk"):
+            with pytest.raises(ConfigurationError, match="risk_state_prior"):
                 expected_free_energy(model, model.state_prior, model.policies[0],
                                      ctx, objective)
 
@@ -300,9 +301,9 @@ class TestExpectedFreeEnergy:
                     assert p.total >= -prefs.max() - 1e-12
 
     def test_risk_only_matches_direct_divergence(self):
-        model = build_tmaze_model()
         prior = Categorical(np.full(8, 1 / 8))
-        ctx = PlanContext(current_epoch=1, prior_states_for_risk=prior)
+        model = dataclasses.replace(build_tmaze_model(), risk_state_prior=prior)
+        ctx = PlanContext(current_epoch=1)
         total, parts = expected_free_energy(
             model, model.state_prior, Policy((3, 1)), ctx, ObjectiveKind.RISK_ONLY
         )
@@ -333,8 +334,7 @@ class TestScorePolicies:
         )
         epoch = data.draw(st.integers(1, model.horizon - 1), label="epoch")
         executed = data.draw(st.sampled_from(model.policies.policies)).actions[: epoch - 1]
-        ctx = PlanContext(current_epoch=epoch, executed_actions=executed,
-                          prior_states_for_risk=model.risk_state_prior)
+        ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
         viable = [p for p in model.policies if p.actions[: epoch - 1] == executed]
         q_now = helpers.random_categorical(rng, model.num_states)
 
@@ -394,8 +394,8 @@ class TestPolicyPosterior:
             g = rng.normal(size=10)
             argmaxes = set()
             for gamma in (0.1, 1.0, 10.0):
-                ctx = PlanContext(current_epoch=1, precision=gamma)
-                post = policy_posterior(g, model.policies, ctx)
+                ctx = PlanContext(current_epoch=1)
+                post = policy_posterior(g, model.policies, ctx, gamma)
                 argmaxes.add(int(np.argmax(post.probs)))
             assert len(argmaxes) == 1
 
