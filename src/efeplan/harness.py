@@ -166,22 +166,23 @@ def run_trial(
 ) -> TrialRecord:
     """One full trial; the env must already sit at the center with its context set.
 
-    A memo dict, shared by trials of one model and config, plans each distinct
-    (executed actions, observations) history once: later visits reuse its
-    records and only select the action and step the env. Records are unchanged.
+    Every epoch is planned through a memo keyed by the (executed actions,
+    observations) history. A memo dict shared by trials of one model and config
+    plans each distinct history once: later visits reuse its records and only
+    select the action and step the env. Without one, a fresh dict serves the
+    trial; each epoch's history is one observation longer, so it never hits.
+    Records are the same either way.
     """
+    memo = {} if memo is None else memo
     observations = [env.observe()]
     executed: list[int] = []
     epoch_records: list[EpochRecord] = []
 
     for _ in range(model.horizon):
         key = (tuple(executed), tuple(observations))
-        planned = None if memo is None else memo.get(key)
-        if planned is None:
-            planned = _plan_epoch(model, config, *key, trial)
-            if memo is not None:
-                memo[key] = planned
-        fields, marg = planned
+        if key not in memo:
+            memo[key] = _plan_epoch(model, config, *key, trial)
+        fields, marg = memo[key]
 
         action = None
         if marg is not None:
@@ -295,16 +296,7 @@ def _jsonable(x):
 
 def _config_echo(config: ExperimentConfig, fmt: str) -> dict:
     """The config's fields plus the format the records were written in."""
-    return {
-        "agent": config.agent.value,
-        "trials": config.trials,
-        "seed": config.seed,
-        "precision": config.precision,
-        "tie_tolerance": config.tie_tolerance,
-        "reward_prob": config.reward_prob,
-        "model_path": config.model_path,
-        "output_format": fmt,
-    }
+    return {**vars(config), "agent": config.agent.value, "output_format": fmt}
 
 
 def _state_marginal_columns(num_states: int) -> list[str]:

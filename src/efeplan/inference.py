@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GenerativeModel, ModelSpecError, Policy
-from .numerics import Categorical, clamped_log
+from .numerics import Categorical, _kl, clamped_log
 
 
 class ImpossibleObservationError(ModelSpecError):
@@ -101,8 +101,7 @@ def vfe(model: GenerativeModel, q_states, observed, policy: Policy) -> float:
             pred = model.state_prior.probs
         else:
             pred = model.transitions[policy.actions[tau - 2]] @ q_states[tau - 2].probs
-        mask = q > 0.0
-        total += float((q[mask] * (np.log(q[mask]) - clamped_log(pred[mask]))).sum())
+        total += _kl(q, clamped_log(pred))
         if tau in obs_map:
             total -= float((q * clamped_log(model.likelihood[obs_map[tau]])).sum())
     return total

@@ -93,17 +93,25 @@ def softmax(logits, precision: float = 1.0) -> Categorical:
     return Categorical(e / e.sum())
 
 
+def _entropy(p: np.ndarray) -> float:
+    """-sum(p * log p) over the entries of p with mass."""
+    mask = p > 0.0
+    return float(-(p[mask] * np.log(p[mask])).sum())
+
+
+def _kl(p: np.ndarray, log_q: np.ndarray) -> float:
+    """sum(p * (log p - log_q)) over the entries of p with mass."""
+    mask = p > 0.0
+    return float((p[mask] * (np.log(p[mask]) - log_q[mask])).sum())
+
+
 def entropy(p: Categorical) -> float:
     """-sum(p * log p) in nats, with 0*log(0) := 0. Lies in [0, log n]."""
-    probs = p.probs
-    mask = probs > 0.0
-    return float(-(probs[mask] * np.log(probs[mask])).sum())
+    return _entropy(p.probs)
 
 
 def kl_divergence(p: Categorical, q: Categorical) -> float:
     """sum(p * (log p - log q)) in nats, q floored at LOG_EPS."""
     if len(p) != len(q):
         raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    pp = p.probs
-    mask = pp > 0.0
-    return float((pp[mask] * (np.log(pp[mask]) - clamped_log(q.probs[mask]))).sum())
+    return _kl(p.probs, clamped_log(q.probs))

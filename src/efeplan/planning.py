@@ -21,6 +21,8 @@ import numpy as np
 from .model import GenerativeModel, Policy, PolicySet
 from .numerics import (
     Categorical,
+    _entropy,
+    _kl,
     clamped_log,
     entropy,
     kl_divergence,
@@ -79,6 +81,11 @@ class PlanContext:
         return [i for i, pol in enumerate(policies) if pol.actions[: len(executed)] == executed]
 
 
+def _check_states(name: str, belief: Categorical, model: GenerativeModel) -> None:
+    if len(belief) != model.num_states:
+        raise ValueError(f"{name} has {len(belief)} states, the model has {model.num_states}")
+
+
 def predictive_states(
     model: GenerativeModel,
     q_now: Categorical,
@@ -92,6 +99,7 @@ def predictive_states(
             f"need 1 <= from_epoch <= to_epoch <= {model.horizon}, "
             f"got {from_epoch}..{to_epoch}"
         )
+    _check_states("q_now", q_now, model)
     q = q_now.probs
     for tau in range(from_epoch + 1, to_epoch + 1):
         q = model.transitions[policy.actions[tau - 2]] @ q
@@ -127,25 +135,6 @@ def _column_entropies(likelihood: np.ndarray) -> np.ndarray:
     return np.where(
         likelihood > 0.0, -likelihood * np.log(np.where(likelihood > 0.0, likelihood, 1.0)), 0.0
     ).sum(axis=0)
-
-
-def _expected_posterior_divergence(
-    q_s: np.ndarray, likelihood: np.ndarray, q_o: np.ndarray, log_ref: np.ndarray
-) -> float:
-    """sum over outcomes o with mass of q_o[o] * KL[P(s | o) under q_s || ref_o].
-
-    q_o is likelihood @ q_s; row o of log_ref holds log ref_o.
-    """
-    total = 0.0
-    for o in range(likelihood.shape[0]):
-        if q_o[o] <= 0.0:
-            continue
-        post = likelihood[o] * q_s / q_o[o]
-        mask = post > 0.0
-        total += float(q_o[o]) * float(
-            (post[mask] * (np.log(post[mask]) - log_ref[o][mask])).sum()
-        )
-    return total
 
 
 def expected_info_gain(q_s: Categorical, likelihood: np.ndarray) -> float:
@@ -189,58 +178,6 @@ class PolicyScore:
         )
 
 
-class _TimestepKernel:
-    """Scores one predicted state belief, with the model's constants computed once.
-
-    The arithmetic matches the public term functions (predictive_outcome,
-    expected_info_gain, extrinsic_value, ambiguity, risk_states) operation for
-    operation, so scores are bitwise equal to composing them.
-    """
-
-    def __init__(self, model: GenerativeModel, prior: Categorical | None,
-                 objective: ObjectiveKind):
-        likelihood = model.likelihood
-        self.likelihood = likelihood
-        self.objective = objective
-        self.column_entropies = _column_entropies(likelihood)
-        self.log_preferences = model.preferences - log_sum_exp(model.preferences)
-        self.prior = prior
-        if prior is not None:
-            self.log_prior = clamped_log(prior.probs)
-
-    def __call__(self, q: np.ndarray) -> EfeBreakdown:
-        q_o = self.likelihood @ q
-        p_o = q_o / q_o.sum()
-        ambig = float(q @ self.column_entropies)
-        has_mass = p_o > 0.0
-        intrinsic = float(-(p_o[has_mass] * np.log(p_o[has_mass])).sum()) - ambig
-        extrinsic = float(p_o @ self.log_preferences)
-        if self.prior is not None:
-            mask = q > 0.0
-            risk = float((q[mask] * (np.log(q[mask]) - self.log_prior[mask])).sum())
-        else:
-            risk = math.nan
-
-        objective = self.objective
-        if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
-            score = -intrinsic - extrinsic
-        elif objective is ObjectiveKind.INFO_GAIN_ONLY:
-            score = -intrinsic
-        elif objective is ObjectiveKind.EXPECTED_UTILITY_OUTCOMES:
-            score = -extrinsic
-        elif objective is ObjectiveKind.EXPECTED_UTILITY_STATES:
-            score = -float(q @ self.log_prior)
-        else:  # RISK_ONLY
-            score = risk
-        return EfeBreakdown(
-            risk_states=risk,
-            ambiguity=ambig,
-            intrinsic=intrinsic,
-            extrinsic=extrinsic,
-            total=score,
-        )
-
-
 def score_policies(
     model: GenerativeModel,
     q_now: Categorical,
@@ -259,13 +196,39 @@ def score_policies(
     t = plan_ctx.current_epoch
     if t >= model.horizon:
         raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
+    _check_states("q_now", q_now, model)
     prior = model.risk_state_prior
     if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and prior is None:
         raise ConfigurationError(
             f"objective {objective.value} needs a model that defines risk_state_prior"
         )
 
-    kernel = _TimestepKernel(model, prior, objective)
+    likelihood = model.likelihood
+    column_entropies = _column_entropies(likelihood)
+    log_preferences = model.preferences - log_sum_exp(model.preferences)
+    log_prior = None if prior is None else clamped_log(prior.probs)
+
+    def score(q: np.ndarray) -> EfeBreakdown:
+        """The public term functions' arithmetic on one predicted state belief."""
+        q_o = likelihood @ q
+        p_o = q_o / q_o.sum()
+        ambig = float(q @ column_entropies)
+        intrinsic = _entropy(p_o) - ambig
+        extrinsic = float(p_o @ log_preferences)
+        risk = math.nan if log_prior is None else _kl(q, log_prior)
+        if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
+            total = -intrinsic - extrinsic
+        elif objective is ObjectiveKind.INFO_GAIN_ONLY:
+            total = -intrinsic
+        elif objective is ObjectiveKind.EXPECTED_UTILITY_OUTCOMES:
+            total = -extrinsic
+        elif objective is ObjectiveKind.EXPECTED_UTILITY_STATES:
+            total = -float(q @ log_prior)
+        else:  # RISK_ONLY
+            total = risk
+        return EfeBreakdown(risk_states=risk, ambiguity=ambig, intrinsic=intrinsic,
+                            extrinsic=extrinsic, total=total)
+
     # remaining-action prefix -> (unnormalised rollout, normalised prediction, breakdown)
     nodes: dict[tuple[int, ...], tuple] = {(): (q_now.probs, None, None)}
     scores: list[PolicyScore] = []
@@ -276,7 +239,7 @@ def score_policies(
             if rest[:k] not in nodes:
                 raw = model.transitions[rest[k - 1]] @ path[-1][0]
                 q_s = raw / raw.sum()
-                nodes[rest[:k]] = (raw, q_s, kernel(q_s))
+                nodes[rest[:k]] = (raw, q_s, score(q_s))
             path.append(nodes[rest[:k]])
         parts = tuple(node[2] for node in path[1:])
         scores.append(PolicyScore(
@@ -378,6 +341,7 @@ def evidence_bound_diagnostic(
     """
     if prior_states is None:
         raise ConfigurationError("evidence_bound_diagnostic requires prior_states")
+    _check_states("prior_states", prior_states, model)
     [scored] = score_policies(model, q_now, [policy], plan_ctx,
                               ObjectiveKind.EXPECTED_FREE_ENERGY)
     likelihood = model.likelihood
@@ -392,7 +356,11 @@ def evidence_bound_diagnostic(
     rows = []
     for part, q_s in zip(scored.breakdowns, scored.states):
         q_o = likelihood @ q_s
-        bound = _expected_posterior_divergence(q_s, likelihood, q_o, log_posteriors)
+        # sum over outcomes o with mass of q_o[o] * KL[P(s | o) under q_s || under the prior]
+        bound = 0.0
+        for o in range(likelihood.shape[0]):
+            if q_o[o] > 0.0:
+                bound += float(q_o[o]) * _kl(likelihood[o] * q_s / q_o[o], log_posteriors[o])
         rows.append((part.intrinsic, float(q_o @ log_p_o), bound))
     return rows
 
@@ -407,8 +375,8 @@ def state_outcome_utility_comparison(
     Reported side by side for diagnostics; neither side is asserted to bound
     the other.
     """
-    if len(q_s) != model.num_states or len(prior_states) != model.num_states:
-        raise ValueError("belief and prior must both range over the model's states")
+    _check_states("q_s", q_s, model)
+    _check_states("prior_states", prior_states, model)
     e_log_ps = float(q_s.probs @ clamped_log(prior_states.probs))
     q_o = model.likelihood @ q_s.probs
     p_o = model.likelihood @ prior_states.probs

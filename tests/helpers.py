@@ -211,8 +211,8 @@ def reference_scores(model: GenerativeModel, q_now: Categorical, policies, plan_
     """(G, per-timestep breakdowns, predicted beliefs) for each policy, scoring
     every (policy, timestep) pair on its own from predictive_states and the
     public term functions: no prefix is shared and no constant is hoisted.
-    The arithmetic is that of the planner's per-timestep kernel, so results
-    compare exactly."""
+    The arithmetic is that of the per-node scorer nested in score_policies,
+    so results compare exactly."""
     t = plan_ctx.current_epoch
     prior = model.risk_state_prior
     results = []

@@ -388,6 +388,13 @@ class TestWriteRecords:
         doc = json.loads((tmp_path / name).read_text())
         assert doc.get("config", doc)["output_format"] == fmt
 
+    def test_config_echo_keys_are_the_config_fields(self, tmp_path):
+        write_records(run_experiment(_config(trials=1)), tmp_path, "csv")
+        doc = json.loads((tmp_path / "config.json").read_text())
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert list(doc) == [*names, "output_format"]
+        assert doc["agent"] == "efe"
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_beliefs_of_a_generic_model_are_per_state(self, tmp_path, fmt):
         # outcomes stay below 7 because score_outcome knows only the maze's

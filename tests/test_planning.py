@@ -573,3 +573,22 @@ class TestStateOutcomeUtilityComparison:
         model = build_tmaze_model()
         both = state_outcome_utility_comparison(model, model.state_prior, model.state_prior)
         assert all(math.isfinite(v) for v in both)
+
+
+_EFE = ObjectiveKind.EXPECTED_FREE_ENERGY
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, short, ctx: score_policies(m, short, list(m.policies), ctx, _EFE),
+    lambda m, short, ctx: expected_free_energy(m, short, m.policies[0], ctx, _EFE),
+    lambda m, short, ctx: predictive_states(m, short, m.policies[0], 1, m.horizon),
+    lambda m, short, ctx: evidence_bound_diagnostic(m, m.state_prior, m.policies[0], ctx, short),
+], ids=["score_policies", "expected_free_energy", "predictive_states",
+        "evidence_bound_diagnostic"])
+def test_wrong_length_belief_names_both_lengths(call):
+    model = build_tmaze_model()
+    with pytest.raises(ValueError) as info:
+        call(model, Categorical(np.full(3, 1 / 3)), PlanContext(current_epoch=1))
+    message = str(info.value)
+    assert "matmul" not in message and "gufunc" not in message
+    assert "3" in message and "8" in message
