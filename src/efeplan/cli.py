@@ -39,16 +39,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--agent", choices=AGENT_NAMES, default="efe",
-                   help="planning objective (default: efe)")
-    p.add_argument("--seed", type=int, default=0, help="master seed (default: 0)")
-    p.add_argument("--precision", type=float, default=1.0,
-                   help="softmax inverse temperature over policy scores (default: 1.0)")
-    p.add_argument("--tie-tolerance", type=float, default=1e-9,
-                   help="action probabilities within this of the maximum tie (default: 1e-9)")
-    p.add_argument("--reward-prob", type=float, default=0.98,
-                   help="arm reward probability for the built-in maze (default: 0.98)")
-    p.add_argument("--model", default=None, help="model spec file (default: built-in maze)")
+    p.add_argument("--agent", choices=AGENT_NAMES, default=ExperimentConfig.agent.value,
+                   help="planning objective (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                   help="master seed (default: %(default)s)")
+    p.add_argument("--precision", type=float, default=ExperimentConfig.precision,
+                   help="softmax inverse temperature over policy scores (default: %(default)s)")
+    p.add_argument("--tie-tolerance", type=float, default=ExperimentConfig.tie_tolerance,
+                   help="action probabilities within this of the maximum tie "
+                        "(default: %(default)s)")
+    p.add_argument("--reward-prob", type=float, default=ExperimentConfig.reward_prob,
+                   help="arm reward probability for the built-in maze (default: %(default)s)")
+    p.add_argument("--model", help="model spec file (default: built-in maze)")
 
 
 def parse_cli(argv) -> argparse.Namespace:
@@ -57,8 +59,9 @@ def parse_cli(argv) -> argparse.Namespace:
 
     run_p = sub.add_parser("run", help="run a full multi-trial experiment")
     _add_common_flags(run_p)
-    run_p.add_argument("--trials", type=int, default=50, help="number of trials (default: 50)")
-    run_p.add_argument("--out", default=None, help="directory for result tables")
+    run_p.add_argument("--trials", type=int, default=ExperimentConfig.trials,
+                       help="number of trials (default: %(default)s)")
+    run_p.add_argument("--out", help="directory for result tables")
     run_p.add_argument("--format", choices=("csv", "json"), default="csv",
                        help="table format (default: csv)")
 
@@ -68,13 +71,12 @@ def parse_cli(argv) -> argparse.Namespace:
                          help="scheduled trial index to run (default: 1)")
 
     dec_p = sub.add_parser("decompose", help="print per-policy score components")
-    dec_p.add_argument("--model", default=None, help="model spec file (default: built-in maze)")
-    dec_p.add_argument("--agent", choices=AGENT_NAMES, default="efe")
-    dec_p.add_argument("--beliefs", default=None,
+    dec_p.add_argument("--model", help="model spec file (default: built-in maze)")
+    dec_p.add_argument("--agent", choices=AGENT_NAMES, default=ExperimentConfig.agent.value)
+    dec_p.add_argument("--beliefs",
                        help="comma-separated state weights (default: the model's state prior)")
-    dec_p.add_argument("--epoch", type=int, default=1, help="planning epoch (default: 1)")
     dec_p.add_argument("--executed", default="",
-                       help="comma-separated actions already executed before the epoch")
+                       help="comma-separated executed actions; the next epoch is planned")
 
     val_p = sub.add_parser("validate", help="check a model spec file")
     val_p.add_argument("--model", required=True, help="model spec file")
@@ -86,7 +88,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     try:
         return ExperimentConfig(
             agent=ObjectiveKind(args.agent),
-            trials=getattr(args, "trials", 50),
+            trials=getattr(args, "trials", ExperimentConfig.trials),
             seed=args.seed,
             precision=args.precision,
             tie_tolerance=args.tie_tolerance,
@@ -110,17 +112,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _breakdown_lines(model, g_values, breakdowns) -> list[str]:
+def _breakdown_lines(model, breakdowns) -> list[str]:
     lines = ["policy            G        risk   ambiguity   intrinsic   extrinsic"]
-    for i, policy in enumerate(model.policies):
-        b = breakdowns[i]
+    for policy, b in zip(model.policies, breakdowns):
         name = "(" + ",".join(str(a) for a in policy.actions) + ")"
         if b is None:
             lines.append(f"{name:<12} {'-':>10}")
             continue
         risk = "nan" if math.isnan(b.risk_states) else f"{b.risk_states:10.4f}"
         lines.append(
-            f"{name:<12} {g_values[i]:10.4f} {risk:>10} {b.ambiguity:11.4f} "
+            f"{name:<12} {b.total:10.4f} {risk:>10} {b.ambiguity:11.4f} "
             f"{b.intrinsic:11.4f} {b.extrinsic:11.4f}"
         )
     return lines
@@ -139,7 +140,7 @@ def _cmd_trial(args) -> int:
     for e in record.epochs:
         print(f"epoch {e.epoch}: observed {OUTCOME_LABELS[e.observation]}")
         if e.action is not None:
-            print("\n".join(_breakdown_lines(model, e.g_values, e.breakdowns)))
+            print("\n".join(_breakdown_lines(model, e.breakdowns)))
             marg = " ".join(
                 f"{ACTION_LABELS[a]}={p:.4f}" for a, p in enumerate(e.action_marginal)
             )
@@ -155,10 +156,13 @@ def _cmd_decompose(args) -> int:
         raise ModelSpecError(
             f"decompose needs a model with a planning epoch; horizon {model.horizon} has none"
         )
-    if not 1 <= args.epoch < model.horizon:
-        raise UsageError(
-            f"--epoch must be a planning epoch 1..{model.horizon - 1}, got {args.epoch}"
-        )
+    try:
+        executed = tuple(int(x) for x in args.executed.split(",")) if args.executed else ()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if len(executed) >= model.horizon - 1:
+        raise UsageError(f"--executed leaves no planning epoch of horizon {model.horizon}")
+    ctx = PlanContext(current_epoch=len(executed) + 1, executed_actions=executed)
     if args.beliefs is None:
         q_now = model.state_prior
     else:
@@ -168,19 +172,13 @@ def _cmd_decompose(args) -> int:
             raise UsageError(f"--beliefs: {exc}") from exc
         if len(q_now) != model.num_states:
             raise UsageError(f"--beliefs needs {model.num_states} entries, got {len(q_now)}")
-    try:
-        executed = tuple(int(x) for x in args.executed.split(",")) if args.executed else ()
-        ctx = PlanContext(current_epoch=args.epoch, executed_actions=executed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     viable = [model.policies[i] for i in ctx.viable(model.policies)]
     if not viable:
         raise UsageError(f"no policy starts with the executed actions {executed}")
     agent = ObjectiveKind(args.agent)
     scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, agent)))
-    g_values = [scores[p].total if p in scores else math.nan for p in model.policies]
     sums = [scores[p].summed if p in scores else None for p in model.policies]
-    print("\n".join(_breakdown_lines(model, g_values, sums)))
+    print("\n".join(_breakdown_lines(model, sums)))
     return 0
 
 

@@ -32,6 +32,7 @@ from .tmaze import (
     ACTION_LABELS,
     CONTEXT_LABELS,
     LOCATION_LABELS,
+    REWARD_PROB,
     TmazeEnv,
     build_tmaze_model,
     default_context,
@@ -46,7 +47,7 @@ class ExperimentConfig:
     seed: int = 0
     precision: float = 1.0
     tie_tolerance: float = 1e-9
-    reward_prob: float = 0.98
+    reward_prob: float = REWARD_PROB
     model_path: str | None = None
 
     def __post_init__(self):
@@ -301,7 +302,8 @@ def _config_echo(config: ExperimentConfig, fmt: str) -> dict:
 
 def _state_marginal_columns(num_states: int) -> list[str]:
     if num_states == 8:
-        return ["loc_center", "loc_left", "loc_right", "loc_cue", "ctx_white", "ctx_black"]
+        return [*(f"loc_{label}" for label in LOCATION_LABELS),
+                *(f"ctx_{label}" for label in CONTEXT_LABELS)]
     return [f"state_{s}" for s in range(num_states)]
 
 

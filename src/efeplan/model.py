@@ -10,6 +10,7 @@ preserved verbatim.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +105,8 @@ def _check_columns(name: str, matrix: np.ndarray, violations: list[str]) -> None
         column = matrix[:, col]
         if np.any(column < 0.0):
             violations.append(f"{name} column {col} has a negative entry")
-        total = float(column.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is the inf reported below
+            total = float(column.sum())
         if abs(total - 1.0) > NORM_TOL:
             violations.append(f"{name} column {col} sums to {total!r}, expected 1")
 
@@ -144,7 +146,14 @@ def validate(model: GenerativeModel) -> list[str]:
     elif _check_finite("preferences", model.preferences, v):
         with np.errstate(over="ignore"):  # an overflow is the -inf reported here
             log_preferences = model.preferences - log_sum_exp(model.preferences)
-        _check_finite("normalised log-preferences", log_preferences, v)
+        if _check_finite("normalised log-preferences", log_preferences, v):
+            # G adds up to horizon - 1 expected utilities, each down to the lowest
+            # entry; NORM_TOL covers rounding in the predicted outcome distributions
+            worst = int(log_preferences.argmin())
+            lowest = float(log_preferences[worst])
+            if not math.isfinite((model.horizon - 1) * lowest * (1.0 + NORM_TOL)):
+                v.append(f"normalised log-preferences entry [{worst}] is {lowest!r}, which "
+                         f"overflows G summed over {model.horizon - 1} future epochs")
     if len(model.state_prior) != model.num_states:
         v.append(f"state prior has length {len(model.state_prior)}, expected {model.num_states}")
     if model.risk_state_prior is not None and len(model.risk_state_prior) != model.num_states:

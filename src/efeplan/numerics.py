@@ -32,7 +32,8 @@ class Categorical:
             raise ValueError("probs must be finite")
         if np.any(probs < 0.0):
             raise ValueError(f"probs must be nonnegative, got min {float(probs.min())!r}")
-        total = float(probs.sum())
+        with np.errstate(over="ignore"):  # an overflowing sum is the inf reported below
+            total = float(probs.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"probs must sum to 1 within {NORM_TOL}, got {total!r}")
         probs = probs.copy()
@@ -58,7 +59,8 @@ def log_sum_exp(v: np.ndarray) -> float:
 def normalize(weights) -> Categorical:
     """Scale nonnegative weights into a Categorical.
 
-    Raises DegenerateDistributionError for all-zero or negative input.
+    Raises DegenerateDistributionError for all-zero or negative input. Weights
+    whose sum overflows are first divided by the largest of them.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
@@ -67,9 +69,13 @@ def normalize(weights) -> Categorical:
         raise DegenerateDistributionError("weights must be finite")
     if np.any(w < 0.0):
         raise DegenerateDistributionError(f"weights must be nonnegative, got min {w.min()}")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
     if total <= 0.0:
         raise DegenerateDistributionError("weights sum to zero, cannot normalize")
+    if np.isinf(total):
+        w = w / w.max()
+        total = w.sum()
     return Categorical(w / total)
 
 

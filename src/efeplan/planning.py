@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -161,21 +161,14 @@ class PolicyScore:
     breakdowns[k] and states[k] belong to timestep current_epoch + 1 + k.
     """
 
-    total: float                          # G, the summed score; lower is better
+    summed: EfeBreakdown                  # every component summed over the remaining horizon
     breakdowns: tuple[EfeBreakdown, ...]
     states: np.ndarray                    # predicted Q(s_tau | policy), timestep x state
 
     @property
-    def summed(self) -> EfeBreakdown:
-        """Every component summed over the remaining horizon; total is G."""
-        parts = self.breakdowns
-        return EfeBreakdown(
-            risk_states=sum(p.risk_states for p in parts),
-            ambiguity=sum(p.ambiguity for p in parts),
-            intrinsic=sum(p.intrinsic for p in parts),
-            extrinsic=sum(p.extrinsic for p in parts),
-            total=sum(p.total for p in parts),
-        )
+    def total(self) -> float:
+        """G, the summed score; lower is better."""
+        return self.summed.total
 
 
 def score_policies(
@@ -243,7 +236,8 @@ def score_policies(
             path.append(nodes[rest[:k]])
         parts = tuple(node[2] for node in path[1:])
         scores.append(PolicyScore(
-            total=sum(part.total for part in parts),
+            summed=EfeBreakdown(**{f.name: sum(getattr(p, f.name) for p in parts)
+                                   for f in fields(EfeBreakdown)}),
             breakdowns=parts,
             states=np.array([node[1] for node in path[1:]]),
         ))

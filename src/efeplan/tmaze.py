@@ -50,6 +50,7 @@ TMAZE_POLICIES = (
 OUTCOME_SCORES = (0, 6, -6, 6, -6, 0, 0)
 
 PRIOR_COUNT = 128.0  # initial belief counts on the two center states
+REWARD_PROB = 0.98   # default probability that the cheese arm yields cheese
 
 
 def state_index(context: int, location: int) -> int:
@@ -79,7 +80,7 @@ def next_location(location: int, action: int) -> int:
     return location if location in (LEFT, RIGHT) else action
 
 
-def build_tmaze_model(reward_prob: float = 0.98) -> GenerativeModel:
+def build_tmaze_model(reward_prob: float = REWARD_PROB) -> GenerativeModel:
     """The agent's model of the maze; matches the simulator exactly."""
     transitions = []
     for action in range(NUM_LOCATIONS):
@@ -124,12 +125,13 @@ def default_context(trial: int) -> int:
 
 @dataclass
 class TmazeEnv:
-    """Ground-truth maze. Owns its generator; one uniform draw per outcome."""
+    """Ground-truth maze. Owns its generator; one uniform draw per outcome.
+    Only reset sets a trial's context and location."""
 
     rng: np.random.Generator
-    true_context: int = WHITE
-    reward_prob: float = 0.98
-    current_location: int = CENTER
+    reward_prob: float = REWARD_PROB
+    true_context: int = field(default=WHITE, init=False)
+    current_location: int = field(default=CENTER, init=False)
     _cumulative_outcomes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):

@@ -483,6 +483,10 @@ class TestParseCli:
         assert config.precision == 1.0
         assert config.reward_prob == 0.98
 
+    @pytest.mark.parametrize("command", ["run", "trial"])
+    def test_flag_defaults_are_the_config_defaults(self, command):
+        assert config_from_args(parse_cli([command])) == ExperimentConfig()
+
     def test_every_agent_name_maps(self):
         names = {
             "efe": ObjectiveKind.EXPECTED_FREE_ENERGY,
@@ -539,6 +543,16 @@ class TestParseCli:
         json_list = tmp_path / "list.json"
         json_list.write_text(json.dumps([doc]))
         horizon_one = _save_horizon_one(tmp_path / "horizon_one.json")
+        maze = json.loads(Path(_save_maze(tmp_path / "maze.json")).read_text())
+        # finite normalised log-preferences whose sum over two future epochs is not
+        big_c = _save_maze(tmp_path / "big_c.json", preferences=np.array([1e308] + [0.0] * 6))
+        big_a = build_tmaze_model().likelihood.copy()
+        big_a[:2, 0] = 1e308
+        big_a = _save_maze(tmp_path / "big_a.json", likelihood=big_a)
+        big_d = tmp_path / "big_d.json"
+        big_d.write_text(json.dumps({**maze, "D": [1e308, 1e308] + [0] * 6}))
+        big_risk = tmp_path / "big_risk.json"
+        big_risk.write_text(json.dumps({**maze, "risk_state_prior": [1e308, 1e308] + [0] * 6}))
         table = [
             (["run", "--agent", "bogus"], 1),
             (["run", "--reward-prob", "nan"], 1),
@@ -547,10 +561,10 @@ class TestParseCli:
             (["run", "--precision", "nan"], 1),
             (["run", "--tie-tolerance", "-1"], 1),
             (["trial", "--trial", "0"], 1),
-            (["decompose", "--epoch", "3"], 1),
+            (["decompose", "--executed", "3,1"], 1),
             (["decompose", "--beliefs", "1,2"], 1),
-            (["decompose", "--epoch", "2", "--executed", "9"], 1),
-            (["decompose", "--epoch", "2", "--executed", "3,1"], 1),
+            (["decompose", "--executed", "9"], 1),
+            (["decompose", "--epoch", "2"], 1),
             (["decompose", "--precision", "1"], 1),
             (["run", "--seed", "-1"], 1),
             (["trial", "--seed", "-3"], 1),
@@ -578,12 +592,19 @@ class TestParseCli:
             (["decompose", "--agent", "klc"], 2),
             (["validate", "--model", str(json_list)], 2),
             (["decompose", "--model", horizon_one], 2),
+            (["validate", "--model", big_c], 2),
+            (["run", "--model", big_c, "--trials", "1"], 2),
+            (["decompose", "--model", big_c], 2),
+            (["validate", "--model", big_a], 2),
+            (["validate", "--model", str(big_d)], 2),
+            (["validate", "--model", str(big_risk)], 2),
+            (["decompose", "--beliefs", "1e308,1e308,1,1,1,1,1,1"], 0),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]
         for argv, code in table:
             assert main(argv) == code, argv
             err = capsys.readouterr().err
-            assert len(err.splitlines()) == 1, (argv, err)
+            assert len(err.splitlines()) == (code != 0), (argv, err)
             assert "Traceback" not in err, argv
             assert "np." not in err, (argv, err)  # values print as Python floats
             if argv[-2:] == ["--agent", "klc"]:

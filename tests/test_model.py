@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from efeplan.model import (
@@ -118,6 +120,28 @@ class TestValidModelsAreAcceptedDownstream:
                     ObjectiveKind.EXPECTED_FREE_ENERGY,
                 )
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_accepted_preferences_keep_every_score_finite(self, seed, data):
+        from efeplan.planning import ObjectiveKind, PlanContext, policy_posterior, score_policies
+
+        model = helpers.random_model(np.random.default_rng(seed), min_horizon=2, max_horizon=4,
+                                     risk_prior=True)
+        # entries in [-5e307, 1e308] are at most 1.5e308 apart, so the normalised
+        # log-preferences stay finite; only their sum over the horizon can overflow
+        magnitudes = st.floats(-0.5, 1.0).map(lambda u: u * 1e308)
+        preferences = data.draw(st.lists(magnitudes, min_size=model.num_outcomes,
+                                         max_size=model.num_outcomes), label="preferences")
+        model = dataclasses.replace(model, preferences=np.array(preferences))
+        if validate(model):
+            return
+        ctx = PlanContext(current_epoch=1)
+        for objective in ObjectiveKind:
+            scores = score_policies(model, model.state_prior, model.policies, ctx, objective)
+            g = [scored.total for scored in scores]
+            assert np.all(np.isfinite(g)), (objective, g)
+            policy_posterior(g, model.policies, ctx)
+
 
 class TestPolicySet:
     def test_rejects_duplicates(self):
@@ -200,6 +224,10 @@ _ARRAY_ERRORS = [
     # C - log_sum_exp(C) is -inf at entry 0, and 0 * -inf is NaN in the extrinsic term
     ("C", None, [-1e308, 1e308, 0, 0, 0, 0, 0],
      "invalid model: normalised log-preferences entry [0] is -inf, expected a finite number"),
+    # finite, but G adds two expected utilities of -1e308 each over the maze's horizon
+    ("C", None, [1e308, 0, 0, 0, 0, 0, 0],
+     "invalid model: normalised log-preferences entry [1] is -1e+308, which overflows G "
+     "summed over 2 future epochs"),
     ("policies", None, [list(actions) for actions in TMAZE_POLICIES] + [[3, 1]],
      "policies[10] = [3, 1] repeats policies[7]"),
     ("num_states", None, 0, "num_states must be a positive integer, got 0"),

@@ -57,6 +57,17 @@ class TestNormalize:
             out = normalize(w).probs
             assert np.allclose(out * w.sum(), w, atol=1e-12)
 
+    def test_ordinary_weights_are_divided_by_their_sum(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            w = (rng.random(int(rng.integers(1, 9))) + 1e-3) * 10.0 ** int(rng.integers(-300, 300))
+            assert np.array_equal(normalize(w).probs, w / w.sum())
+
+    def test_weights_whose_sum_overflows(self):
+        out = normalize([1e308, 1e308, 1.0, 1.0]).probs
+        assert out[:2].tolist() == [0.5, 0.5]
+        assert 0.0 <= out[2] == out[3] < 1e-307
+
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):

@@ -91,7 +91,7 @@ class TestContextSchedule:
 
 class TestEnv:
     def test_cue_location_is_deterministic(self):
-        env = TmazeEnv(rng=np.random.default_rng(61), true_context=WHITE)
+        env = TmazeEnv(rng=np.random.default_rng(61))
         for _ in range(100):
             env.reset(WHITE)
             assert env.step(3) == 5
@@ -136,6 +136,11 @@ class TestEnv:
     def test_reward_prob_bounds(self):
         with pytest.raises(ValueError):
             TmazeEnv(rng=np.random.default_rng(0), reward_prob=1.5)
+
+    def test_trial_state_comes_only_from_reset(self):
+        for field in ("true_context", "current_location"):
+            with pytest.raises(TypeError):
+                TmazeEnv(rng=np.random.default_rng(0), **{field: 1})
 
 
 class TestScoreOutcome:
