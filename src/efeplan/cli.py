@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 model/validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
@@ -112,6 +111,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _column(x: float, width: int) -> str:
+    """x to 4 decimals in `width` characters; in exponent form where those overflow."""
+    text = f"{x:{width}.4f}"
+    return text if len(text) <= width else f"{x:{width}.{width - 8}e}"  # "-d.ddde+308"
+
+
 def _breakdown_lines(model, breakdowns) -> list[str]:
     lines = ["policy            G        risk   ambiguity   intrinsic   extrinsic"]
     for policy, b in zip(model.policies, breakdowns):
@@ -119,10 +124,9 @@ def _breakdown_lines(model, breakdowns) -> list[str]:
         if b is None:
             lines.append(f"{name:<12} {'-':>10}")
             continue
-        risk = "nan" if math.isnan(b.risk_states) else f"{b.risk_states:10.4f}"
         lines.append(
-            f"{name:<12} {b.total:10.4f} {risk:>10} {b.ambiguity:11.4f} "
-            f"{b.intrinsic:11.4f} {b.extrinsic:11.4f}"
+            f"{name:<12} {_column(b.total, 10)} {_column(b.risk_states, 10)} "
+            f"{_column(b.ambiguity, 11)} {_column(b.intrinsic, 11)} {_column(b.extrinsic, 11)}"
         )
     return lines
 

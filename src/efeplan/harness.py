@@ -12,6 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -272,27 +273,117 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 
 
 # ---------------------------------------------------------------------------
-# Persistence. Floats are printed with 12 significant digits; every file is
-# byte-identical across runs of the same config (no timestamps).
+# Persistence. Every file is byte-identical across runs of the same config (no
+# timestamps). A table cell is a float, an int, a string or None. Each float is
+# rounded once, to 12 significant digits; the CSV and JSON renderers then spell
+# the rounded value, and a missing value (None or NaN), each in their own way.
 # ---------------------------------------------------------------------------
 
+_JSON_INFINITIES = {"inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling
 
-def _fmt(x) -> str:
+
+def _rounded(x: float) -> str | None:
+    """x at the tables' precision, 12 significant digits; None for NaN."""
+    return None if x != x else f"{x:.12g}"
+
+
+def _csv_cell(x) -> str:
+    if isinstance(x, float):
+        return _rounded(x) or ""
+    return "" if x is None else str(x)
+
+
+def _json_cell(x) -> str:
+    """The text json.dumps writes for x after rounding, with null for NaN."""
+    if isinstance(x, float):
+        text = _rounded(x)
+        if text is None:
+            return "null"
+        return _JSON_INFINITIES.get(text) or float.__repr__(float(text))
     if x is None:
-        return ""
-    if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return f"{x:.12g}"
-    return str(x)
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return encode_basestring_ascii(x)
 
 
-def _jsonable(x):
-    if isinstance(x, float):
-        if math.isnan(x):
-            return None
-        return float(f"{x:.12g}")
-    return x
+class _Rows(list):
+    """A table's rows, grouped into spans that name where their cells come from.
+
+    Each span (lead, source, count) covers the next `count` rows. They start
+    with the cells `lead`, and their other cells derive from `source` alone,
+    an object of the record. Memo hits share those objects across trials, so
+    `add` derives a source's cells once and a writer renders them once, each
+    keyed by id(source) in a cache that lives for one table of one write. The
+    spans keep every source alive meanwhile, so no id is reused. Never key by
+    value: 0.0 == -0.0 and 1 == 1.0 hash alike but render differently.
+    """
+
+    __slots__ = ("spans", "_tails")
+
+    def __init__(self):
+        super().__init__()
+        self.spans: list[tuple[list, object, int]] = []
+        self._tails: dict[int, list[list]] = {}
+
+    def add(self, lead: list, source, derive) -> None:
+        """One row lead + tail for each tail of derive(source), derived once per source."""
+        tails = self._tails.get(id(source))
+        if tails is None:
+            tails = self._tails[id(source)] = derive(source)
+        self.extend([*lead, *tail] for tail in tails)
+        self.spans.append((lead, source, len(tails)))
+
+
+def _rendered_rows(rows: list[list], cell_texts, sep: str) -> list[str]:
+    """sep.join(cell_texts(cells, index of the first cell)) for each row.
+
+    For `_Rows`, each source's cells are rendered once, and each span's lead once.
+    """
+    spans = getattr(rows, "spans", None)
+    if spans is None:
+        return [sep.join(cell_texts(row, 0)) for row in rows]
+    tails: dict[int, list[list[str]]] = {}
+    lines = []
+    start = 0
+    for lead, source, count in spans:
+        texts = tails.get(id(source))
+        if texts is None:
+            first = len(lead)
+            texts = tails[id(source)] = [cell_texts(row[first:], first)
+                                         for row in rows[start:start + count]]
+        start += count
+        head = cell_texts(lead, 0)
+        lines += [sep.join(head + tail) for tail in texts]
+    return lines
+
+
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    lines = _rendered_rows(rows, lambda cells, _: list(map(_csv_cell, cells)), ",")
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+def _json_member(name: str, header: list[str], rows: list[list]) -> str:
+    """A table as a member of the records document: a list of one object per row."""
+    key = f"  {encode_basestring_ascii(name)}: "
+    if not rows:
+        return key + "[]"
+    keys = [f"      {encode_basestring_ascii(column)}: " for column in header]
+
+    def cell_texts(cells, first):
+        return list(map(str.__add__, keys[first:], map(_json_cell, cells)))
+
+    objects = _rendered_rows(rows, cell_texts, ",\n")
+    return key + "[\n    {\n" + "\n    },\n    {\n".join(objects) + "\n    }\n  ]"
+
+
+def _json_text(config_echo: dict, tables: dict[str, tuple[list[str], list[list]]]) -> str:
+    """json.dumps({"config": config_echo, **tables as row objects}, indent=2) + newline."""
+    head = json.dumps({"config": config_echo}, indent=2)[:-2]  # without the closing "\n}"
+    members = [_json_member(name, header, rows) for name, (header, rows) in tables.items()]
+    return ",\n".join([head, *members]) + "\n}\n"
 
 
 def _config_echo(config: ExperimentConfig, fmt: str) -> dict:
@@ -314,16 +405,20 @@ def _state_marginal_values(bma: tuple[float, ...]) -> list[float]:
     return list(bma)
 
 
+def _breakdown_tails(breakdowns: tuple[EfeBreakdown | None, ...]) -> list[list]:
+    """Per policy: its number, viable, and the summed components (empty if unplanned)."""
+    return [[i, 0, None, None, None, None, None] if b is None else
+            [i, 1, b.risk_states, b.ambiguity, b.intrinsic, b.extrinsic, b.total]
+            for i, b in enumerate(breakdowns, start=1)]
+
+
 def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[list]]]:
     """Assemble the output tables as (header, rows) pairs keyed by table name."""
-    num_policies = len(record.trials[0].epochs[0].policy_posterior)
     num_states = len(record.trials[0].epochs[0].bma_states[0])
-
     trials_rows = []
-    beliefs_rows = []
-    breakdown_rows = []
+    beliefs_rows = _Rows()
+    breakdown_rows = _Rows()
     for tr in record.trials:
-        planning_epochs = [e for e in tr.epochs if e.action is not None]
         trials_rows.append([
             tr.trial,
             CONTEXT_LABELS[tr.true_context],
@@ -332,21 +427,11 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
             tr.cumulative_score,
         ])
         for e in tr.epochs:
-            beliefs_rows.append(
-                [tr.trial, e.epoch, *_state_marginal_values(e.bma_states[e.epoch - 1])]
-            )
-        for e in planning_epochs:
-            for i in range(num_policies):
-                b = e.breakdowns[i]
-                viable = 0 if b is None else 1
-                breakdown_rows.append([
-                    tr.trial, e.epoch, i + 1, viable,
-                    None if b is None else b.risk_states,
-                    None if b is None else b.ambiguity,
-                    None if b is None else b.intrinsic,
-                    None if b is None else b.extrinsic,
-                    None if b is None else b.total,
-                ])
+            bma = e.bma_states[e.epoch - 1]
+            beliefs_rows.add([tr.trial, e.epoch], bma, lambda row: [_state_marginal_values(row)])
+        for e in tr.epochs:
+            if e.action is not None:
+                breakdown_rows.add([tr.trial, e.epoch], e.breakdowns, _breakdown_tails)
 
     action_cols = [f"action{k}" for k in range(1, len(record.trials[0].actions) + 1)]
     return {
@@ -369,8 +454,10 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
 
 def _policy_table(record: ExperimentRecord) -> tuple[list[str], list[list]]:
     """Per trial, the policy posterior of its final planning epoch."""
-    rows = [[tr.trial, *[e for e in tr.epochs if e.action is not None][-1].policy_posterior]
-            for tr in record.trials]
+    rows = _Rows()
+    for tr in record.trials:
+        posterior = [e for e in tr.epochs if e.action is not None][-1].policy_posterior
+        rows.add([tr.trial], posterior, lambda row: [row])
     return ["trial", *[f"policy{i}" for i in range(1, len(rows[0]))]], rows
 
 
@@ -379,8 +466,7 @@ def _write_csvs(out: Path, tables: dict[str, tuple[list[str], list[list]]]) -> l
     written = []
     for name, (header, rows) in tables.items():
         path = out / f"{name}.csv"
-        lines = [",".join(header), *(",".join(_fmt(x) for x in row) for row in rows)]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(_csv_text(header, rows))
         written.append(path)
     return written
 
@@ -390,19 +476,15 @@ def write_records(record: ExperimentRecord, output_dir, fmt: str = "csv") -> lis
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = build_tables(record)
+    echo = _config_echo(record.config, fmt)
     if fmt == "csv":
         written = _write_csvs(out, tables)
         config_path = out / "config.json"
-        config_path.write_text(json.dumps(_config_echo(record.config, fmt), indent=2) + "\n")
+        config_path.write_text(json.dumps(echo, indent=2) + "\n")
         written.append(config_path)
     elif fmt == "json":
-        doc = {"config": _config_echo(record.config, fmt)}
-        for name, (header, rows) in tables.items():
-            doc[name] = [
-                {key: _jsonable(value) for key, value in zip(header, row)} for row in rows
-            ]
         path = out / "records.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        path.write_text(_json_text(echo, tables))
         written = [path]
     else:
         raise ValueError(f"unknown output format: {fmt!r}")

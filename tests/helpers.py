@@ -9,6 +9,7 @@ policy scorer it is compared with.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -247,3 +248,41 @@ def reference_scores(model: GenerativeModel, q_now: Categorical, policies, plan_
             total += score
         results.append((total, parts, states))
     return results
+
+
+def _cell_by_old_rule(x) -> str:
+    """A CSV cell on its own: floats to 12 significant digits, empty for None
+    and NaN, str() for the rest."""
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return ""
+        return f"{x:.12g}"
+    return str(x)
+
+
+def _jsonable_by_old_rule(x):
+    """A JSON cell as a value for json.dumps: floats rounded to 12 significant
+    digits, None for NaN."""
+    if isinstance(x, float):
+        if math.isnan(x):
+            return None
+        return float(f"{x:.12g}")
+    return x
+
+
+def csv_table_by_old_rule(header, rows) -> str:
+    """A table's CSV text, each cell formatted on its own; an oracle for the writer."""
+    lines = [",".join(header), *(",".join(_cell_by_old_rule(x) for x in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def records_json_by_dumps(config: dict, tables: dict) -> str:
+    """records.json as json.dumps(indent=2) writes the document of row objects;
+    an oracle for the writer's hand-joined layout."""
+    doc = {"config": config}
+    for name, (header, rows) in tables.items():
+        doc[name] = [{key: _jsonable_by_old_rule(value) for key, value in zip(header, row)}
+                     for row in rows]
+    return json.dumps(doc, indent=2) + "\n"

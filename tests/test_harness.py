@@ -15,6 +15,11 @@ from efeplan.cli import UsageError, config_from_args, main, parse_cli
 from efeplan.harness import (
     ExperimentConfig,
     ExperimentRecord,
+    _csv_text,
+    _json_text,
+    _maze_model,
+    _Rows,
+    _scheduled_trial,
     _trial_rngs,
     build_tables,
     emit_plot_data,
@@ -34,6 +39,7 @@ from efeplan.model import (
 from efeplan.numerics import Categorical
 from efeplan.planning import (
     ConfigurationError,
+    EfeBreakdown,
     ObjectiveKind,
     PlanContext,
     evidence_bound_diagnostic,
@@ -448,6 +454,130 @@ class TestWriteRecords:
                    for path in sorted(tmp_path.iterdir())}
         assert digests == RUN_OUT_SHA256[key]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("agent", [ObjectiveKind.EXPECTED_FREE_ENERGY,
+                                       ObjectiveKind.EXPECTED_UTILITY_OUTCOMES])
+    def test_records_that_share_no_tuple_write_the_same_bytes(self, agent, fmt, tmp_path):
+        config = _config(agent=agent)
+        shared = run_experiment(config)
+        unshared = _record_without_memo(config)
+
+        def ids(record):
+            return [id(e.breakdowns) for tr in record.trials for e in tr.epochs]
+        assert len(set(ids(unshared))) == len(ids(unshared))  # every epoch its own tuple
+        assert len(set(ids(shared))) < len(ids(shared)) / 5    # memo hits share them
+        for name, record in (("shared", shared), ("unshared", unshared)):
+            write_records(record, tmp_path / name, fmt)
+            emit_plot_data(record, tmp_path / name)
+        files = sorted(path.name for path in (tmp_path / "shared").iterdir())
+        assert files == sorted(path.name for path in (tmp_path / "unshared").iterdir())
+        for name in files:
+            assert (tmp_path / "shared" / name).read_bytes() == \
+                (tmp_path / "unshared" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_equal_tuples_render_their_own_zero_sign(self, fmt, tmp_path):
+        record = _signed_zero_record()
+        first, second = (tr.epochs[0] for tr in record.trials)
+        assert first.policy_posterior == second.policy_posterior
+        assert first.policy_posterior is not second.policy_posterior
+        assert first.breakdowns == second.breakdowns
+        write_records(record, tmp_path, fmt)
+        emit_plot_data(record, tmp_path)
+        tables = {"fig3_policies": _read_csv_rows(tmp_path / "fig3_policies.csv")}
+        if fmt == "csv":
+            tables.update((name, _read_csv_rows(tmp_path / f"{name}.csv"))
+                          for name in ("policies", "breakdown"))
+        else:
+            doc = json.loads((tmp_path / "records.json").read_text())
+            tables.update((name, doc[name]) for name in ("policies", "breakdown"))
+        for name, rows in tables.items():
+            zeros = [(int(row["trial"]), math.copysign(1.0, float(value)))
+                     for row in rows for key, value in row.items()
+                     if key not in ("trial", "epoch", "policy", "viable")
+                     and value not in ("", None) and float(value) == 0.0]
+            assert {sign for trial, sign in zeros if trial == 1} == {1.0}, name
+            assert {sign for trial, sign in zeros if trial == 2} == {-1.0}, name
+
+
+def _record_without_memo(config: ExperimentConfig) -> ExperimentRecord:
+    """run_experiment's record with each trial planned through its own fresh memo."""
+    model = _maze_model(config)
+    env = TmazeEnv(rng=None, reward_prob=config.reward_prob)
+    trials, cumulative = [], 0
+    for trial in range(1, config.trials + 1):
+        trials.append(_scheduled_trial(model, env, config, trial, cumulative))
+        cumulative = trials[-1].cumulative_score
+    return ExperimentRecord(config=config, trials=tuple(trials), final_score=cumulative,
+                            duration_seconds=0.0)
+
+
+def _signed_zero_record() -> ExperimentRecord:
+    """Two trials whose posteriors and breakdowns are equal in value, but hold
+    0.0 in trial 1 and -0.0 in trial 2."""
+    record = run_experiment(_config(trials=2))
+    trials = []
+    for tr, zero in zip(record.trials, (0.0, -0.0)):
+        epochs = tuple(dataclasses.replace(
+            e,
+            policy_posterior=(zero,) * (len(e.policy_posterior) - 1) + (1.0,),
+            breakdowns=tuple(None if b is None else EfeBreakdown(zero, zero, zero, zero, zero)
+                             for b in e.breakdowns),
+        ) for e in tr.epochs)
+        trials.append(dataclasses.replace(tr, epochs=epochs))
+    return dataclasses.replace(record, trials=tuple(trials))
+
+
+def _read_csv_rows(path: Path) -> list[dict[str, str]]:
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
+# Cells the writers must render exactly as the one-cell-at-a-time oracle does.
+_CELL_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 1, True, False, math.nan, math.inf, -math.inf, 5e-324,
+                     2.5e-310, 1e16, 123456789012345.0, 1.7976931348623157e308, None,
+                     10**30, -(10**30), "white", "\u00e9t\u00e9", "\u4e2d", ""]),
+    st.floats(),
+    st.integers(),
+    st.text(max_size=4),
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows: plain rows, or `_Rows` whose spans reuse some sources
+    and may hold value-equal ones (0.0 and -0.0, 1 and 1.0) as separate objects."""
+    width = draw(st.integers(1, 5))
+    header = draw(st.lists(st.text(max_size=3), min_size=width, max_size=width, unique=True))
+
+    def cells(n):
+        return st.lists(_CELL_VALUES, min_size=n, max_size=n)
+
+    if draw(st.booleans()):
+        return header, draw(st.lists(cells(width), max_size=6))
+    lead = draw(st.integers(0, width))
+    sources = draw(st.lists(st.lists(cells(width - lead), max_size=3), min_size=1, max_size=4))
+    rows = _Rows()
+    for pick in draw(st.lists(st.integers(0, len(sources) - 1), max_size=6)):
+        rows.add(draw(cells(lead)), sources[pick], lambda tails: tails)
+    return header, rows
+
+
+class TestCellRenderers:
+    @settings(max_examples=200, deadline=None)
+    @given(table=_tables())
+    def test_csv_matches_the_per_cell_oracle(self, table):
+        header, rows = table
+        assert _csv_text(header, rows) == helpers.csv_table_by_old_rule(header, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=st.dictionaries(st.text(max_size=3).filter(lambda name: name != "config"),
+                                  _tables(), max_size=3))
+    def test_json_matches_json_dumps(self, tables):
+        config = {"agent": "efe", "seed": 0, "reward_prob": 0.98, "model_path": None}
+        assert _json_text(config, tables) == helpers.records_json_by_dumps(config, tables)
+
 
 class TestEmitPlotData:
     def test_first_trial_matrices(self, efe_record, tmp_path):
@@ -535,15 +665,20 @@ class TestParseCli:
         half_column.write_text(json.dumps(doc))
         not_utf8 = tmp_path / "not_utf8.json"
         not_utf8.write_bytes(b"\xff\xfe")
-        doc = json.loads(bad_risk.read_text())
-        repeated = tmp_path / "repeated_policy.json"
-        repeated.write_text(json.dumps({**doc, "policies": doc["policies"] + [[0, 3]]}))
-        overflow_c = tmp_path / "overflow_c.json"
-        overflow_c.write_text(json.dumps({**doc, "C": [-1e308, 1e308, 0, 0, 0, 0, 0]}))
-        json_list = tmp_path / "list.json"
-        json_list.write_text(json.dumps([doc]))
-        horizon_one = _save_horizon_one(tmp_path / "horizon_one.json")
         maze = json.loads(Path(_save_maze(tmp_path / "maze.json")).read_text())
+        repeated = tmp_path / "repeated_policy.json"
+        repeated.write_text(json.dumps({**maze, "policies": maze["policies"] + [[0, 3]]}))
+        overflow_c = tmp_path / "overflow_c.json"
+        overflow_c.write_text(json.dumps({**maze, "C": [-1e308, 1e308, 0, 0, 0, 0, 0]}))
+        json_list = tmp_path / "list.json"
+        json_list.write_text(json.dumps([maze]))
+        # built from the clean maze, so each fails on its own defect alone
+        named_problem = {
+            str(repeated): "policies[10] = [0, 3] repeats policies[3]",
+            str(overflow_c): "normalised log-preferences entry [0] is -inf",
+            str(json_list): "model spec must be a key-value tree",
+        }
+        horizon_one = _save_horizon_one(tmp_path / "horizon_one.json")
         # finite normalised log-preferences whose sum over two future epochs is not
         big_c = _save_maze(tmp_path / "big_c.json", preferences=np.array([1e308] + [0.0] * 6))
         big_a = build_tmaze_model().likelihood.copy()
@@ -609,6 +744,9 @@ class TestParseCli:
             assert "np." not in err, (argv, err)  # values print as Python floats
             if argv[-2:] == ["--agent", "klc"]:
                 assert "risk_state_prior" in err, err  # the message run prints
+            spec = argv[argv.index("--model") + 1] if "--model" in argv else None
+            if spec in named_problem:
+                assert named_problem[spec] in err, (argv, err)
 
     def test_missing_risk_prior_reads_the_same_everywhere(self, capsys):
         maze = build_tmaze_model()
@@ -638,6 +776,19 @@ class TestParseCli:
         assert main(command.split()) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[command]
+
+    def test_decompose_lines_stay_in_their_columns_for_huge_preferences(self, tmp_path, capsys):
+        # a valid spec whose G is 5e307: fixed-point G would print 308 digits
+        spec = tmp_path / "huge_c.json"
+        save_spec(GenerativeModel(
+            num_states=2, num_outcomes=2, num_actions=1, horizon=2,
+            likelihood=np.eye(2), transitions=(np.eye(2),), preferences=np.array([1e308, 0.0]),
+            state_prior=Categorical(np.array([0.5, 0.5])), policies=PolicySet((Policy((0,)),)),
+        ), spec)
+        assert main(["decompose", "--model", str(spec)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split() == ["(0)", "5.00e+307", "nan", "0.0000", "0.6931", "-5.000e+307"]
+        assert max(map(len, lines)) <= 70  # 12-character name and five columns of 10-11
 
     def test_main_trial_and_decompose_succeed(self, capsys):
         assert main(["trial", "--agent", "eu", "--seed", "0"]) == 0
