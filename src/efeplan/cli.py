@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 model/validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -20,10 +21,10 @@ from .harness import (
     run_experiment,
     write_records,
 )
-from .model import ModelSpecError, load_spec
+from .model import ModelEnvironment, ModelSpecError, load_spec
 from .numerics import normalize
 from .planning import ConfigurationError, ObjectiveKind, PlanContext, score_policies
-from .tmaze import ACTION_LABELS, CONTEXT_LABELS, OUTCOME_LABELS, TmazeEnv
+from .tmaze import ACTION_LABELS, CONTEXT_LABELS, OUTCOME_LABELS
 
 AGENT_NAMES = tuple(kind.value for kind in ObjectiveKind)
 
@@ -52,7 +53,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", help="model spec file (default: built-in maze)")
 
 
-def parse_cli(argv) -> argparse.Namespace:
+@functools.cache  # once per process: parsing leaves the parser unchanged
+def _parser() -> _Parser:
     parser = _Parser(prog="efeplan", description="Expected-free-energy planning in a T-maze")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -79,8 +81,11 @@ def parse_cli(argv) -> argparse.Namespace:
 
     val_p = sub.add_parser("validate", help="check a model spec file")
     val_p.add_argument("--model", required=True, help="model spec file")
+    return parser
 
-    return parser.parse_args(argv)
+
+def parse_cli(argv) -> argparse.Namespace:
+    return _parser().parse_args(argv)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -136,8 +141,7 @@ def _cmd_trial(args) -> int:
     if args.trial < 1:
         raise UsageError(f"--trial must be >= 1, got {args.trial}")
     model = _maze_model(config)
-    env = TmazeEnv(rng=None, reward_prob=config.reward_prob)
-    record = _scheduled_trial(model, env, config, args.trial)
+    record = _scheduled_trial(model, ModelEnvironment(model), config, args.trial)
 
     print(f"trial {record.trial}: context={CONTEXT_LABELS[record.true_context]} "
           f"agent={config.agent.value}")
@@ -199,13 +203,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parse_cli(argv)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "trial":
-            return _cmd_trial(args)
-        if args.command == "decompose":
-            return _cmd_decompose(args)
-        return _cmd_validate(args)
+        command = {"run": _cmd_run, "trial": _cmd_trial, "decompose": _cmd_decompose,
+                   "validate": _cmd_validate}[args.command]
+        return command(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ matched seeds are identical across agents.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .inference import ImpossibleObservationError, bma_beliefs, infer_states
-from .model import GenerativeModel, ModelSpecError, load_spec
+from .model import GenerativeModel, ModelEnvironment, ModelSpecError, load_spec
 from .numerics import Categorical
 from .planning import (
     EfeBreakdown,
@@ -31,13 +32,15 @@ from .planning import (
 )
 from .tmaze import (
     ACTION_LABELS,
+    CENTER,
     CONTEXT_LABELS,
     LOCATION_LABELS,
+    NUM_LOCATIONS,
     REWARD_PROB,
-    TmazeEnv,
     build_tmaze_model,
     default_context,
     score_outcome,
+    state_index,
 )
 
 
@@ -56,14 +59,14 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if not (math.isfinite(self.precision) and self.precision >= 0.0):
-            raise ValueError(f"precision must be a nonnegative real, got {self.precision!r}")
-        if not (math.isfinite(self.tie_tolerance) and self.tie_tolerance >= 0.0):
-            raise ValueError(
-                f"tie_tolerance must be a nonnegative real, got {self.tie_tolerance!r}"
-            )
+        for name in ("precision", "tie_tolerance"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a nonnegative real, got {value!r}")
         if not 0.0 <= self.reward_prob <= 1.0:
             raise ValueError(f"reward_prob must lie in [0, 1], got {self.reward_prob!r}")
+        if self.model_path is not None and self.reward_prob != REWARD_PROB:
+            raise ValueError("a model spec carries its own likelihood; leave reward_prob unset")
 
 
 @dataclass(frozen=True)
@@ -83,11 +86,16 @@ class EpochRecord:
 @dataclass(frozen=True)
 class TrialRecord:
     trial: int
-    true_context: int
+    initial_state: int
     epochs: tuple[EpochRecord, ...]
     actions: tuple[int, ...]
     score_delta: int
     cumulative_score: int
+
+    @property
+    def true_context(self) -> int:
+        """The maze's view of the initial state: the context the trial ran in."""
+        return self.initial_state // NUM_LOCATIONS
 
 
 @dataclass(frozen=True)
@@ -141,9 +149,7 @@ def _plan_epoch(
             beliefs[i] = filtered_rows
 
     post = policy_posterior(g, policies, ctx, config.precision)
-    marg = None
-    if epoch < horizon:
-        marg = action_marginal(post, policies, epoch, model.num_actions)
+    marg = action_marginal(post, policies, epoch, model.num_actions) if epoch < horizon else None
     fields = dict(
         epoch=epoch,
         observation=observations[-1],
@@ -158,7 +164,7 @@ def _plan_epoch(
 
 def run_trial(
     model: GenerativeModel,
-    env: TmazeEnv,
+    env: ModelEnvironment,
     config: ExperimentConfig,
     rng: np.random.Generator,
     *,
@@ -166,7 +172,7 @@ def run_trial(
     cumulative_before: int = 0,
     memo: dict | None = None,
 ) -> TrialRecord:
-    """One full trial; the env must already sit at the center with its context set.
+    """One full trial from the env's current state, which the record keeps.
 
     Every epoch is planned through a memo keyed by the (executed actions,
     observations) history. A memo dict shared by trials of one model and config
@@ -176,6 +182,7 @@ def run_trial(
     Records are the same either way.
     """
     memo = {} if memo is None else memo
+    initial_state = env.state
     observations = [env.observe()]
     executed: list[int] = []
     epoch_records: list[EpochRecord] = []
@@ -196,7 +203,7 @@ def run_trial(
     score_delta = sum(score_outcome(o) for o in observations)
     return TrialRecord(
         trial=trial,
-        true_context=env.true_context,
+        initial_state=initial_state,
         epochs=tuple(epoch_records),
         actions=tuple(executed),
         score_delta=score_delta,
@@ -210,7 +217,7 @@ def _resolve_model(model_path: str | None, reward_prob: float) -> GenerativeMode
 
 
 def _maze_model(config: ExperimentConfig) -> GenerativeModel:
-    """The config's model; the experiment driver and its env need the maze's shape."""
+    """The config's model; the experiment driver's schedule and scoring need the maze's shape."""
     model = _resolve_model(config.model_path, config.reward_prob)
     shape = (model.num_states, model.num_outcomes, model.num_actions, model.horizon)
     if shape != (8, 7, 4, 3):
@@ -237,7 +244,7 @@ def _trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.G
 
 def _scheduled_trial(
     model: GenerativeModel,
-    env: TmazeEnv,
+    env: ModelEnvironment,
     config: ExperimentConfig,
     trial: int,
     cumulative_before: int = 0,
@@ -245,7 +252,7 @@ def _scheduled_trial(
 ) -> TrialRecord:
     """Trial `trial` of config's schedule: set its generators and context, then run it."""
     env.rng, tie_rng = _trial_rngs(config.seed, trial)
-    env.reset(default_context(trial))
+    env.reset(state_index(default_context(trial), CENTER))
     return run_trial(
         model, env, config, tie_rng, trial=trial, cumulative_before=cumulative_before, memo=memo
     )
@@ -258,7 +265,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     records: list[TrialRecord] = []
     cumulative = 0
     memo: dict = {}  # one model and config: every history plans the same way
-    env = TmazeEnv(rng=None, reward_prob=config.reward_prob)  # each trial sets its generator
+    env = ModelEnvironment(model)  # each trial sets its generator
     for trial in range(1, config.trials + 1):
         record = _scheduled_trial(model, env, config, trial, cumulative, memo)
         cumulative = record.cumulative_score
@@ -421,7 +428,7 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
     for tr in record.trials:
         trials_rows.append([
             tr.trial,
-            CONTEXT_LABELS[tr.true_context],
+            CONTEXT_LABELS[tr.true_context] if num_states == 8 else tr.initial_state,
             *[ACTION_LABELS[a] for a in tr.actions],
             tr.score_delta,
             tr.cumulative_score,
@@ -492,16 +499,11 @@ def write_records(record: ExperimentRecord, output_dir, fmt: str = "csv") -> lis
 
 
 def _black_bands(contexts: list[int]) -> list[tuple[int, int]]:
-    bands = []
-    start = None
-    for trial, context in enumerate(contexts, start=1):
-        if context == 1 and start is None:
-            start = trial
-        elif context != 1 and start is not None:
-            bands.append((start, trial - 1))
-            start = None
-    if start is not None:
-        bands.append((start, len(contexts)))
+    bands, end = [], 0
+    for context, run in itertools.groupby(contexts):
+        start, end = end + 1, end + len(list(run))
+        if context == 1:
+            bands.append((start, end))
     return bands
 
 

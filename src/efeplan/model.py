@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,55 @@ def validate(model: GenerativeModel) -> list[str]:
     return v
 
 
+def _cumulative_columns(matrix: np.ndarray) -> list[np.ndarray]:
+    """Each column's cumulative sums, inf from its last entry with mass on."""
+    rows = np.arange(len(matrix))[:, None]
+    last = len(matrix) - 1 - (matrix[::-1] > 0.0).argmax(axis=0)
+    return list(np.where(rows < last, np.cumsum(matrix, axis=0), np.inf).T.copy())
+
+
+@dataclass(eq=False)
+class ModelEnvironment:
+    """The generative process of a validated model. step(action) moves the state by
+    the action's transitions and then observes; observe samples an outcome in the
+    current state; only reset sets the state.
+
+    Stream convention: an outcome takes one uniform draw from rng, a move one
+    more unless its transition column is one-hot. A draw is the searchsorted
+    (side="right") index in the column's cumulative sums, inf from its last
+    entry with mass on, so no draw passes that entry where the sums end below 1.
+    """
+
+    model: GenerativeModel
+    rng: np.random.Generator | None = None
+    state: int = field(init=False)
+
+    def __post_init__(self):
+        self._outcomes = _cumulative_columns(self.model.likelihood)
+        # per action and state: the target of a one-hot column, else its cumulative sums
+        self._moves = [[int(target) if count == 1 else cumulative for target, count, cumulative
+                        in zip(b.argmax(axis=0), (b > 0.0).sum(axis=0), _cumulative_columns(b))]
+                       for b in self.model.transitions]
+
+    def reset(self, state: int) -> None:
+        if not 0 <= state < self.model.num_states:
+            raise ValueError(f"state {state} outside 0..{self.model.num_states - 1}")
+        self.state = operator.index(state)  # a numpy integer becomes an int; 2.0 is refused
+
+    def _draw(self, cumulative: np.ndarray) -> int:
+        return int(cumulative.searchsorted(self.rng.random(), side="right"))
+
+    def observe(self) -> int:
+        return self._draw(self._outcomes[self.state])
+
+    def step(self, action: int) -> int:
+        if not 0 <= action < self.model.num_actions:
+            raise ValueError(f"action {action} outside 0..{self.model.num_actions - 1}")
+        move = self._moves[action][self.state]
+        self.state = move if isinstance(move, int) else self._draw(move)
+        return self.observe()
+
+
 # ---------------------------------------------------------------------------
 # Spec-file round trip. The on-disk format is a JSON key-value tree; floats
 # are written with repr precision (>= 15 significant digits) so a save/load
@@ -324,12 +374,9 @@ def save_spec(model: GenerativeModel, path) -> None:
         "D": model.state_prior.probs.tolist(),
         "policies": [list(p.actions) for p in model.policies],
     }
-    if model.state_labels is not None:
-        doc["state_labels"] = list(model.state_labels)
-    if model.outcome_labels is not None:
-        doc["outcome_labels"] = list(model.outcome_labels)
-    if model.action_labels is not None:
-        doc["action_labels"] = list(model.action_labels)
+    for key in ("state_labels", "outcome_labels", "action_labels"):
+        if getattr(model, key) is not None:
+            doc[key] = list(getattr(model, key))
     if model.risk_state_prior is not None:
         doc["risk_state_prior"] = model.risk_state_prior.probs.tolist()
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")

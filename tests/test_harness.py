@@ -30,6 +30,7 @@ from efeplan.harness import (
 from efeplan.inference import ImpossibleObservationError, infer_states
 from efeplan.model import (
     GenerativeModel,
+    ModelEnvironment,
     ModelSpecError,
     Policy,
     PolicySet,
@@ -47,11 +48,12 @@ from efeplan.planning import (
 )
 from efeplan.tmaze import (
     BLACK,
+    CENTER,
     WHITE,
-    TmazeEnv,
     build_tmaze_model,
     default_context,
     score_outcome,
+    state_index,
 )
 
 
@@ -59,23 +61,11 @@ def _config(**kwargs) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-class _ModelEnv:
-    """Generative process equal to the model: states from D and B, outcomes from A."""
-
-    true_context = 0
-
-    def __init__(self, model: GenerativeModel, rng: np.random.Generator):
-        self.model, self.rng = model, rng
-        self.state = rng.choice(model.num_states, p=model.state_prior.probs)
-
-    def observe(self) -> int:
-        return int(self.rng.choice(self.model.num_outcomes,
-                                   p=self.model.likelihood[:, self.state]))
-
-    def step(self, action: int) -> int:
-        self.state = self.rng.choice(self.model.num_states,
-                                     p=self.model.transitions[action][:, self.state])
-        return self.observe()
+def _env_from_prior(model: GenerativeModel, rng: np.random.Generator) -> ModelEnvironment:
+    """The model's environment, reset to an initial state drawn from its prior."""
+    env = ModelEnvironment(model, rng)
+    env.reset(int(rng.choice(model.num_states, p=model.state_prior.probs)))
+    return env
 
 
 def _save_maze(path, **changes) -> str:
@@ -150,7 +140,7 @@ class TestRunTrial:
             if model.horizon < 2:
                 continue
             checked += 1
-            record = run_trial(model, _ModelEnv(model, rng), _config(), rng)
+            record = run_trial(model, _env_from_prior(model, rng), _config(), rng)
             observations = [e.observation for e in record.epochs]
             for e in record.epochs:
                 observed = [(t, o) for t, o in enumerate(observations[: e.epoch], start=1)]
@@ -193,12 +183,25 @@ class TestRunTrial:
 
 
     def test_impossible_observation_names_trial_and_epoch(self, tmp_path):
+        # the agent's spec contradicts the maze it acts in at the black cue
         _save_contradicting_maze(tmp_path / "contradicting.json")
-        config = _config(trials=12, model_path=str(tmp_path / "contradicting.json"))
+        contradicting = load_spec(tmp_path / "contradicting.json")
+        env = ModelEnvironment(build_tmaze_model())
         with pytest.raises(ImpossibleObservationError, match="trial 12, epoch 2") as info:
-            run_experiment(config)
+            _scheduled_trial(contradicting, env, _config(), 12)
         assert isinstance(info.value, ModelSpecError)
         assert (info.value.trial, info.value.epoch) == (12, 2)
+
+    def test_a_spec_run_samples_the_specs_own_likelihood(self, tmp_path, capsys):
+        _save_contradicting_maze(tmp_path / "contradicting.json")
+        path = str(tmp_path / "contradicting.json")
+        assert main(["run", "--model", path, "--trials", "12"]) == 0
+        capsys.readouterr()
+        trial = run_experiment(_config(trials=12, model_path=path)).trials[11]
+        assert trial.true_context == BLACK
+        assert trial.actions[0] == 3
+        # the spec's A emits cue-white at the black cue
+        assert [e.observation for e in trial.epochs] == [0, 5, 2]
 
 
 class TestRunExperiment:
@@ -296,8 +299,8 @@ def _memo_free_trials(config: ExperimentConfig) -> tuple:
     trials, cumulative = [], 0
     for trial in range(1, config.trials + 1):
         env_rng, tie_rng = _trial_rngs(config.seed, trial)
-        env = TmazeEnv(rng=env_rng, reward_prob=config.reward_prob)
-        env.reset(default_context(trial))
+        env = ModelEnvironment(model, env_rng)
+        env.reset(state_index(default_context(trial), CENTER))
         record = run_trial(model, env, config, tie_rng, trial=trial,
                            cumulative_before=cumulative)
         cumulative = record.cumulative_score
@@ -337,7 +340,8 @@ class TestHistoryMemo:
             memo, planned = {}, 0
             for trial in range(1, 7):  # at most 3 first observations: epoch 1 repeats
                 records = [
-                    run_trial(model, _ModelEnv(model, np.random.default_rng([seed, trial])),
+                    run_trial(model,
+                              _env_from_prior(model, np.random.default_rng([seed, trial])),
                               config, np.random.default_rng([seed, trial, 1]),
                               trial=trial, memo=shared)
                     for shared in (memo, None)
@@ -405,28 +409,42 @@ class TestWriteRecords:
     def test_beliefs_of_a_generic_model_are_per_state(self, tmp_path, fmt):
         # outcomes stay below 7 because score_outcome knows only the maze's
         rng = np.random.default_rng(61)
-        model = helpers.random_model(rng, max_states=6, max_outcomes=6, min_horizon=2,
+        small = helpers.random_model(rng, max_states=6, max_outcomes=6, min_horizon=2,
                                      max_horizon=4)
+        large = small
+        while not 9 <= large.num_states <= 12:
+            large = helpers.random_model(rng, max_states=12, max_outcomes=6, min_horizon=2,
+                                         max_horizon=4)
+        for model in (small, large):
+            self._check_generic_model_tables(model, tmp_path / str(model.num_states), fmt)
+
+    @staticmethod
+    def _check_generic_model_tables(model, out, fmt):
         config = _config()
         trials, cumulative = [], 0
         for t in (1, 2, 3):
-            env = _ModelEnv(model, np.random.default_rng([61, t]))
+            env = _env_from_prior(model, np.random.default_rng([61, t]))
             trials.append(run_trial(model, env, config, np.random.default_rng([62, t]),
                                     trial=t, cumulative_before=cumulative))
             cumulative = trials[-1].cumulative_score
         record = ExperimentRecord(config=config, trials=tuple(trials), final_score=cumulative,
                                   duration_seconds=0.0)
-        write_records(record, tmp_path, fmt)
+        write_records(record, out, fmt)
 
         header = ["trial", "epoch", *[f"state_{s}" for s in range(model.num_states)]]
         if fmt == "csv":
-            lines = (tmp_path / "beliefs.csv").read_text().splitlines()
+            lines = (out / "beliefs.csv").read_text().splitlines()
             assert lines[0].split(",") == header
             rows = [line.split(",") for line in lines[1:]]
+            contexts = [int(row["context"]) for row in _read_csv_rows(out / "trials.csv")]
         else:
-            rows = json.loads((tmp_path / "records.json").read_text())["beliefs"]
+            doc = json.loads((out / "records.json").read_text())
+            rows = doc["beliefs"]
             assert all(list(row) == header for row in rows)
             rows = [list(row.values()) for row in rows]
+            contexts = [row["context"] for row in doc["trials"]]
+        # a model without the maze's layout writes the initial state index as the context
+        assert contexts == [tr.initial_state for tr in trials]
         expected = [[tr.trial, e.epoch, *e.bma_states[e.epoch - 1]]
                     for tr in trials for e in tr.epochs]
         assert len(rows) == len(expected)
@@ -503,7 +521,7 @@ class TestWriteRecords:
 def _record_without_memo(config: ExperimentConfig) -> ExperimentRecord:
     """run_experiment's record with each trial planned through its own fresh memo."""
     model = _maze_model(config)
-    env = TmazeEnv(rng=None, reward_prob=config.reward_prob)
+    env = ModelEnvironment(model)
     trials, cumulative = [], 0
     for trial in range(1, config.trials + 1):
         trials.append(_scheduled_trial(model, env, config, trial, cumulative))
@@ -638,7 +656,6 @@ class TestParseCli:
             parse_cli(["run", "--trials", "many"])
 
     def test_main_exit_codes(self, tmp_path, capsys):
-        _save_contradicting_maze(tmp_path / "contradicting.json")
         two_state = tmp_path / "two_state.json"
         save_spec(GenerativeModel(
             num_states=2, num_outcomes=2, num_actions=1, horizon=3,
@@ -705,7 +722,8 @@ class TestParseCli:
             (["trial", "--seed", "-3"], 1),
             (["run", "--agent", "eu-states", "--trials", "1"], 2),
             (["trial", "--model", str(two_state)], 2),
-            (["run", "--model", str(tmp_path / "contradicting.json"), "--trials", "12"], 2),
+            (["run", "--model", str(tmp_path / "maze.json"), "--reward-prob", "0.6"], 1),
+            (["trial", "--model", str(tmp_path / "maze.json"), "--reward-prob", "0.6"], 1),
             (["validate", "--model", nan_a], 2),
             (["run", "--model", nan_a, "--trials", "1"], 2),
             (["validate", "--model", inf_c], 2),
@@ -744,6 +762,8 @@ class TestParseCli:
             assert "np." not in err, (argv, err)  # values print as Python floats
             if argv[-2:] == ["--agent", "klc"]:
                 assert "risk_state_prior" in err, err  # the message run prints
+            if "--reward-prob" in argv and "--model" in argv:
+                assert "carries its own likelihood" in err, err
             spec = argv[argv.index("--model") + 1] if "--model" in argv else None
             if spec in named_problem:
                 assert named_problem[spec] in err, (argv, err)

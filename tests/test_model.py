@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 from efeplan.model import (
     GenerativeModel,
+    ModelEnvironment,
     ModelSpecError,
     Policy,
     PolicySet,
@@ -141,6 +142,99 @@ class TestValidModelsAreAcceptedDownstream:
             g = [scored.total for scored in scores]
             assert np.all(np.isfinite(g)), (objective, g)
             policy_posterior(g, model.policies, ctx)
+
+
+def _cut_columns(matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """matrix with each column cut to a random support, its largest entry kept,
+    and scaled back to sum to 1: some columns become one-hot."""
+    keep = rng.random(matrix.shape) < 0.4
+    keep[matrix.argmax(axis=0), np.arange(matrix.shape[1])] = True
+    cut = np.where(keep, matrix, 0.0)
+    return cut / cut.sum(axis=0)
+
+
+class _TopDraw:
+    """A generator stub whose every draw is the largest double below 1."""
+
+    def random(self) -> float:
+        return 1.0 - 2.0**-53
+
+
+def _two_state_model(likelihood, transition) -> GenerativeModel:
+    return GenerativeModel(
+        num_states=2, num_outcomes=likelihood.shape[0], num_actions=1, horizon=2,
+        likelihood=likelihood, transitions=(transition,),
+        preferences=np.zeros(likelihood.shape[0]),
+        state_prior=Categorical(np.array([0.5, 0.5])), policies=PolicySet((Policy((0,)),)),
+    )
+
+
+class TestModelEnvironment:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_draw_has_mass(self, seed):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(rng, max_states=5, max_outcomes=5)
+        model = dataclasses.replace(
+            model, likelihood=_cut_columns(model.likelihood, rng),
+            transitions=tuple(_cut_columns(b, rng) for b in model.transitions),
+        )
+        assert validate(model) == []
+        env = ModelEnvironment(model, rng)
+        env.reset(int(rng.integers(model.num_states)))
+        assert model.likelihood[env.observe(), env.state] > 0.0
+        for action in rng.integers(model.num_actions, size=30):
+            before = env.state
+            outcome = env.step(int(action))
+            assert model.transitions[action][env.state, before] > 0.0
+            assert model.likelihood[outcome, env.state] > 0.0
+
+    def test_one_hot_moves_take_no_draw(self):
+        model = build_tmaze_model()
+        assert all(np.count_nonzero(b, axis=0).max() == 1 for b in model.transitions)
+        env = ModelEnvironment(model, np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        env.reset(4)
+        for action in (0, 3, 1, 2, 0, 3, 3, 1):
+            env.observe()
+            env.step(action)
+            reference.random()
+            reference.random()
+            assert env.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_a_stochastic_move_takes_one_more_draw(self):
+        # state 0 moves to either state, state 1 stays put
+        model = _two_state_model(np.eye(2), np.array([[0.5, 0.0], [0.5, 1.0]]))
+        env = ModelEnvironment(model, np.random.default_rng(9))
+        reference = np.random.default_rng(9)
+        for state, draws in ((0, 2), (1, 1), (0, 2)):
+            env.reset(state)
+            env.step(0)
+            for _ in range(draws):
+                reference.random()
+            assert env.rng.bit_generator.state == reference.bit_generator.state
+
+    def test_an_action_outside_the_model_is_refused_without_a_draw(self):
+        env = ModelEnvironment(build_tmaze_model(), np.random.default_rng(3))
+        env.reset(0)
+        before = env.rng.bit_generator.state
+        for action in (-1, 4):  # -1 would index the last action
+            with pytest.raises(ValueError, match="outside 0..3"):
+                env.step(action)
+        assert env.rng.bit_generator.state == before and env.state == 0
+
+    def test_no_draw_lands_past_the_last_entry_with_mass(self):
+        # columns that validate accepts, summing to 1 - 1e-12 with a zero last entry
+        column = np.array([0.5, 0.5 - 1e-12, 0.0])
+        model = _two_state_model(np.column_stack([column, column]),
+                                 np.column_stack([column[:2], column[:2]]))
+        assert validate(model) == []
+        assert np.cumsum(column).searchsorted(_TopDraw().random(), side="right") == 3
+        env = ModelEnvironment(model, _TopDraw())
+        env.reset(0)
+        assert env.observe() == 1
+        assert env.step(0) == 1
+        assert env.state == 1
 
 
 class TestPolicySet:

@@ -1,14 +1,19 @@
 """Maze construction, context schedule, simulator statistics, scoring."""
+import math
+
 import numpy as np
 import pytest
 
-from efeplan.model import validate
+from efeplan.model import ModelEnvironment, validate
 from efeplan.numerics import Categorical, kl_divergence
 from efeplan.tmaze import (
     BLACK,
+    CENTER,
+    CUE,
+    LEFT,
+    RIGHT,
     TMAZE_POLICIES,
     WHITE,
-    TmazeEnv,
     build_tmaze_model,
     default_context,
     score_outcome,
@@ -89,58 +94,70 @@ class TestContextSchedule:
         assert default_context(50) == WHITE
 
 
+def _maze_env(seed: int) -> ModelEnvironment:
+    return ModelEnvironment(build_tmaze_model(), np.random.default_rng(seed))
+
+
+def _at_center(env: ModelEnvironment, context: int) -> ModelEnvironment:
+    env.reset(state_index(context, CENTER))
+    return env
+
+
 class TestEnv:
+    """The maze's ground truth: a ModelEnvironment of build_tmaze_model()."""
+
     def test_cue_location_is_deterministic(self):
-        env = TmazeEnv(rng=np.random.default_rng(61))
+        env = _maze_env(61)
         for _ in range(100):
-            env.reset(WHITE)
-            assert env.step(3) == 5
-            env.reset(BLACK)
-            assert env.step(3) == 6
+            assert _at_center(env, WHITE).step(CUE) == 5
+            assert _at_center(env, BLACK).step(CUE) == 6
 
     def test_center_is_deterministic(self):
-        env = TmazeEnv(rng=np.random.default_rng(62))
-        env.reset(WHITE)
+        env = _at_center(_maze_env(62), WHITE)
         assert all(env.observe() == 0 for _ in range(100))
 
     def test_left_arm_reward_frequency(self):
-        env = TmazeEnv(rng=np.random.default_rng(63))
-        outcomes = []
-        for _ in range(10_000):
-            env.reset(WHITE)
-            outcomes.append(env.step(1))
-        outcomes = np.array(outcomes)
+        env = _maze_env(63)
+        outcomes = np.array([_at_center(env, WHITE).step(LEFT) for _ in range(10_000)])
         assert set(outcomes) <= {1, 2}
         assert abs((outcomes == 1).mean() - 0.98) < 0.01
 
     def test_arms_absorb(self):
-        env = TmazeEnv(rng=np.random.default_rng(64))
-        env.reset(WHITE)
-        env.step(2)
-        for action in (0, 1, 3, 2):
+        env = _at_center(_maze_env(64), WHITE)
+        env.step(RIGHT)
+        for action in (CENTER, LEFT, CUE, RIGHT):
             env.step(action)
-            assert env.current_location == 2
+            assert env.state == state_index(WHITE, RIGHT)
 
     def test_empirical_frequencies_match_model_columns(self):
-        model = build_tmaze_model()
-        env = TmazeEnv(rng=np.random.default_rng(65))
-        for ctx, location, action in ((WHITE, 1, 1), (BLACK, 2, 2)):
-            counts = np.zeros(7)
-            for _ in range(100_000):
-                env.reset(ctx)
-                counts[env.step(action)] += 1
-            empirical = Categorical(counts / counts.sum())
-            column = Categorical(model.likelihood[:, state_index(ctx, location)])
-            assert kl_divergence(empirical, column) < 0.001
+        for reward_prob in (0.98, 0.7):
+            model = build_tmaze_model(reward_prob)
+            env = ModelEnvironment(model, np.random.default_rng(65))
+            for ctx, location in ((WHITE, LEFT), (BLACK, RIGHT)):
+                counts = np.zeros(7)
+                for _ in range(100_000):
+                    counts[_at_center(env, ctx).step(location)] += 1
+                empirical = Categorical(counts / counts.sum())
+                column = Categorical(model.likelihood[:, state_index(ctx, location)])
+                assert kl_divergence(empirical, column) < 0.001
 
     def test_reward_prob_bounds(self):
-        with pytest.raises(ValueError):
-            TmazeEnv(rng=np.random.default_rng(0), reward_prob=1.5)
+        # build_tmaze_model owns the check: at 1.5 the maze would have a likelihood entry of -0.5
+        for reward_prob in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="reward_prob"):
+                build_tmaze_model(reward_prob)
 
     def test_trial_state_comes_only_from_reset(self):
-        for field in ("true_context", "current_location"):
-            with pytest.raises(TypeError):
-                TmazeEnv(rng=np.random.default_rng(0), **{field: 1})
+        with pytest.raises(TypeError):
+            ModelEnvironment(build_tmaze_model(), np.random.default_rng(0), state=1)
+        env = _maze_env(0)
+        for state in (-1, 8):
+            with pytest.raises(ValueError, match="outside 0..7"):
+                env.reset(state)
+        env.reset(np.int64(7))
+        assert env.state == 7 and type(env.state) is int
+        with pytest.raises(TypeError):
+            env.reset(2.0)
 
 
 class TestScoreOutcome:
