@@ -167,7 +167,7 @@ def _cmd_decompose(args) -> int:
     try:
         executed = tuple(int(x) for x in args.executed.split(",")) if args.executed else ()
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(f"--executed: {exc}") from exc
     if len(executed) >= model.horizon - 1:
         raise UsageError(f"--executed leaves no planning epoch of horizon {model.horizon}")
     ctx = PlanContext(current_epoch=len(executed) + 1, executed_actions=executed)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import ImpossibleObservationError, bma_beliefs, infer_states
+from .inference import bma_beliefs, filter_step
 from .model import GenerativeModel, ModelEnvironment, ModelSpecError, load_spec
 from .numerics import Categorical
 from .planning import (
@@ -111,34 +111,28 @@ def _plan_epoch(
     config: ExperimentConfig,
     executed: tuple[int, ...],
     observations: tuple[int, ...],
-    trial: int,
+    rows: tuple[np.ndarray, ...],
 ) -> tuple[dict, Categorical | None]:
     """Everything the agent computes at one epoch from its history.
 
-    Returns the epoch's EpochRecord fields except the action, and the action
-    marginal to select from (None at the final epoch).
+    rows are the history's filtered beliefs, one per epoch so far; every
+    viable policy shares them. Returns the epoch's EpochRecord fields except
+    the action, and the action marginal to select from (None at the final
+    epoch).
     """
     policies = model.policies
     horizon = model.horizon
     epoch = len(observations)
-    observed = tuple(enumerate(observations, start=1))
     ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
     viable = ctx.viable(policies)
-    # Viable policies share the executed prefix, so they share its filtered
-    # beliefs; they differ only in the predictions past the current epoch.
-    try:
-        filtered = infer_states(model, policies[viable[0]], observed).states[:epoch]
-    except ImpossibleObservationError as exc:
-        raise ImpossibleObservationError(str(exc), trial, epoch) from exc
-    filtered_rows = np.array([q.probs for q in filtered])
+    filtered_rows = np.array(rows)
 
     g = np.full(len(policies), math.nan)
     breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
     beliefs: list[np.ndarray | None] = [None] * len(policies)
     if epoch < horizon:
-        scores = score_policies(
-            model, filtered[-1], [policies[i] for i in viable], ctx, config.agent
-        )
+        q_now = Categorical(rows[-1])
+        scores = score_policies(model, q_now, [policies[i] for i in viable], ctx, config.agent)
         for i, scored in zip(viable, scores):
             g[i] = scored.total
             breakdowns[i] = scored.summed
@@ -179,19 +173,24 @@ def run_trial(
     plans each distinct history once: later visits reuse its records and only
     select the action and step the env. Without one, a fresh dict serves the
     trial; each epoch's history is one observation longer, so it never hits.
-    Records are the same either way.
+    Records are the same either way. An entry keeps its history's filtered
+    beliefs, so a miss filters only the newest observation.
     """
     memo = {} if memo is None else memo
     initial_state = env.state
     observations = [env.observe()]
     executed: list[int] = []
     epoch_records: list[EpochRecord] = []
+    rows: tuple[np.ndarray, ...] = ()  # the history's filtered beliefs, one per epoch
 
-    for _ in range(model.horizon):
+    for epoch in range(1, model.horizon + 1):
         key = (tuple(executed), tuple(observations))
         if key not in memo:
-            memo[key] = _plan_epoch(model, config, *key, trial)
-        fields, marg = memo[key]
+            pred = (model.transitions[executed[-1]] @ rows[-1] if executed
+                    else model.state_prior.probs)
+            rows = (*rows, filter_step(model, pred, observations[-1], epoch, trial))
+            memo[key] = (*_plan_epoch(model, config, *key, rows), rows)
+        fields, marg, rows = memo[key]
 
         action = None
         if marg is not None:
@@ -429,7 +428,7 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
         trials_rows.append([
             tr.trial,
             CONTEXT_LABELS[tr.true_context] if num_states == 8 else tr.initial_state,
-            *[ACTION_LABELS[a] for a in tr.actions],
+            *(ACTION_LABELS[a] if num_states == 8 else a for a in tr.actions),
             tr.score_delta,
             tr.cumulative_score,
         ])

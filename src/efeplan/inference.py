@@ -3,7 +3,7 @@
 Beliefs Q(s_tau | policy) come from one forward pass over timesteps: Q(s_tau)
 is the normalized product of the forward prediction (transition applied to
 Q(s_{tau-1}), the state prior at tau = 1) and the likelihood row of the
-observation at tau, when one exists.
+observation at tau, when one exists: filter_step, which the closed loop shares.
 
 Backward (future-to-past) messages are deliberately not applied: they would
 break the pure-prediction contract for unobserved timesteps. Without them the
@@ -54,6 +54,17 @@ def _check_observed(model: GenerativeModel, observed) -> dict[int, int]:
     return obs_map
 
 
+def filter_step(model: GenerativeModel, pred: np.ndarray, outcome: int, tau: int,
+                trial: int | None = None) -> np.ndarray:
+    """Q(s_tau) from its forward prediction and the outcome at tau; in a trial tau is the epoch."""
+    weighted = model.likelihood[outcome] * pred
+    total = weighted.sum()
+    if total <= 0.0:
+        message = f"outcome {outcome} at timestep {tau} has zero probability"
+        raise ImpossibleObservationError(message, trial, None if trial is None else tau)
+    return weighted / total
+
+
 def infer_states(model: GenerativeModel, policy: Policy, observed) -> InferenceResult:
     """Filter Q(s_tau | policy) for tau = 1..horizon given (timestep, outcome) pairs."""
     obs_map = _check_observed(model, observed)
@@ -63,21 +74,10 @@ def infer_states(model: GenerativeModel, policy: Policy, observed) -> InferenceR
 
     beliefs: list[np.ndarray] = []
     for tau in range(1, horizon + 1):
-        if tau == 1:
-            pred = model.state_prior.probs
-        else:
-            pred = model.transitions[policy.actions[tau - 2]] @ beliefs[-1]
-        if tau in obs_map:
-            weighted = model.likelihood[obs_map[tau]] * pred
-            total = weighted.sum()
-            if total <= 0.0:
-                raise ImpossibleObservationError(
-                    f"outcome {obs_map[tau]} at timestep {tau} has zero probability "
-                    f"under policy {policy.actions}"
-                )
-            beliefs.append(weighted / total)
-        else:
-            beliefs.append(pred / pred.sum())
+        pred = (model.transitions[policy.actions[tau - 2]] @ beliefs[-1] if beliefs
+                else model.state_prior.probs)
+        beliefs.append(filter_step(model, pred, obs_map[tau], tau) if tau in obs_map
+                       else pred / pred.sum())
     return InferenceResult(states=tuple(Categorical(q) for q in beliefs))
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 import numpy as np
 
@@ -222,26 +223,23 @@ def score_policies(
         return EfeBreakdown(risk_states=risk, ambiguity=ambig, intrinsic=intrinsic,
                             extrinsic=extrinsic, total=total)
 
-    # remaining-action prefix -> (unnormalised rollout, normalised prediction, breakdown)
-    nodes: dict[tuple[int, ...], tuple] = {(): (q_now.probs, None, None)}
-    scores: list[PolicyScore] = []
-    for policy in policies:
-        rest = policy.actions[t - 1:]
-        path = [nodes[()]]
-        for k in range(1, len(rest) + 1):
-            if rest[:k] not in nodes:
-                raw = model.transitions[rest[k - 1]] @ path[-1][0]
-                q_s = raw / raw.sum()
-                nodes[rest[:k]] = (raw, q_s, score(q_s))
-            path.append(nodes[rest[:k]])
-        parts = tuple(node[2] for node in path[1:])
-        scores.append(PolicyScore(
-            summed=EfeBreakdown(**{f.name: sum(getattr(p, f.name) for p in parts)
-                                   for f in fields(EfeBreakdown)}),
-            breakdowns=parts,
-            states=np.array([node[1] for node in path[1:]]),
-        ))
-    return scores
+    # remaining-action prefix -> (unnormalised rollout, predictions, breakdowns,
+    # running sum of each EfeBreakdown field). The sums start at int 0, as sum()
+    # does, so a -0.0 part adds up to 0.0.
+    nodes: dict[tuple[int, ...], tuple] = {(): (q_now.probs, (), (), (0, 0, 0, 0, 0))}
+
+    def node(prefix: tuple[int, ...]) -> tuple:
+        if prefix not in nodes:
+            raw, preds, parts, sums = node(prefix[:-1])
+            raw = model.transitions[prefix[-1]] @ raw
+            q_s = raw / raw.sum()
+            part = score(q_s)
+            nodes[prefix] = (raw, (*preds, q_s), (*parts, part),
+                             tuple(map(add, sums, vars(part).values())))
+        return nodes[prefix]
+
+    return [PolicyScore(summed=EfeBreakdown(*sums), breakdowns=parts, states=np.array(preds))
+            for _, preds, parts, sums in (node(p.actions[t - 1:]) for p in policies)]
 
 
 def expected_free_energy(

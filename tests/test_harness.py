@@ -191,6 +191,9 @@ class TestRunTrial:
             _scheduled_trial(contradicting, env, _config(), 12)
         assert isinstance(info.value, ModelSpecError)
         assert (info.value.trial, info.value.epoch) == (12, 2)
+        # the filter names what it saw, not a policy the agent never committed to
+        assert "outcome 6 at timestep 2 has zero probability" in str(info.value)
+        assert "policy" not in str(info.value)
 
     def test_a_spec_run_samples_the_specs_own_likelihood(self, tmp_path, capsys):
         _save_contradicting_maze(tmp_path / "contradicting.json")
@@ -349,6 +352,33 @@ class TestHistoryMemo:
                 assert _float_hex(records[0]) == _float_hex(records[1]), (agent, trial)
                 planned += len(records[0].epochs)
             assert len(memo) < planned, agent
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
+    def test_memo_carries_each_historys_filtered_rows(self, seed, deterministic):
+        # a miss extends its parent history's rows by one filter step; the rows
+        # must be the whole-history filter of every policy the history allows
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(
+            rng, max_states=4, max_outcomes=3, max_actions=3, min_horizon=2, max_horizon=4,
+            deterministic_likelihood=deterministic, all_policies=True, risk_prior=True,
+        )
+        for agent in ObjectiveKind:
+            memo: dict = {}
+            for trial in range(1, 7):
+                run_trial(model, _env_from_prior(model, np.random.default_rng([seed, trial])),
+                          _config(agent=agent), np.random.default_rng([seed, trial, 1]),
+                          trial=trial, memo=memo)
+            for (executed, observations), (*_, rows) in memo.items():
+                epoch = len(observations)
+                assert len(rows) == epoch
+                observed = tuple(enumerate(observations, start=1))
+                allowed = [p for p in model.policies if p.actions[: epoch - 1] == executed]
+                assert allowed
+                for policy in allowed:
+                    want = infer_states(model, policy, observed).states[:epoch]
+                    assert all(np.array_equal(row, q.probs) for row, q in zip(rows, want)), (
+                        agent, executed, observations, policy)
 
 
 class TestWriteRecords:
@@ -716,6 +746,7 @@ class TestParseCli:
             (["decompose", "--executed", "3,1"], 1),
             (["decompose", "--beliefs", "1,2"], 1),
             (["decompose", "--executed", "9"], 1),
+            (["decompose", "--executed", "1,"], 1),
             (["decompose", "--epoch", "2"], 1),
             (["decompose", "--precision", "1"], 1),
             (["run", "--seed", "-1"], 1),
@@ -762,6 +793,8 @@ class TestParseCli:
             assert "np." not in err, (argv, err)  # values print as Python floats
             if argv[-2:] == ["--agent", "klc"]:
                 assert "risk_state_prior" in err, err  # the message run prints
+            if argv[-2:] == ["--executed", "1,"]:
+                assert err.startswith("usage error: --executed: "), err
             if "--reward-prob" in argv and "--model" in argv:
                 assert "carries its own likelihood" in err, err
             spec = argv[argv.index("--model") + 1] if "--model" in argv else None
@@ -829,3 +862,26 @@ class TestBuildTables:
         for row in epoch2:
             if row[viable_column] == 0:
                 assert row[header.index("G")] is None
+
+    def test_a_non_maze_model_writes_action_indices(self, tmp_path):
+        # six actions: the maze's four action labels cannot name action 5
+        to_state_1 = np.array([[0.0, 0.0], [1.0, 1.0]])
+        model = GenerativeModel(
+            num_states=2, num_outcomes=2, num_actions=6, horizon=2,
+            likelihood=np.eye(2), transitions=(*[np.eye(2)] * 5, to_state_1),
+            preferences=np.array([0.0, 3.0]), state_prior=Categorical(np.array([0.5, 0.5])),
+            policies=PolicySet(tuple(Policy((a,)) for a in range(6))),
+        )
+        env = ModelEnvironment(model, np.random.default_rng(0))
+        env.reset(0)
+        trial = run_trial(model, env, _config(), np.random.default_rng(1))
+        assert trial.actions == (5,)
+        record = ExperimentRecord(config=_config(), trials=(trial,),
+                                  final_score=trial.cumulative_score, duration_seconds=0.0)
+        write_records(record, tmp_path / "csv", "csv")
+        rows = (tmp_path / "csv" / "trials.csv").read_text().splitlines()
+        assert rows[0].split(",")[:3] == ["trial", "context", "action1"]
+        assert rows[1].split(",")[:3] == ["1", "0", "5"]
+        write_records(record, tmp_path / "json", "json")
+        doc = json.loads((tmp_path / "json" / "records.json").read_text())
+        assert doc["trials"][0]["action1"] == 5

@@ -13,6 +13,7 @@ from efeplan.model import GenerativeModel, Policy, PolicySet
 from efeplan.numerics import Categorical
 from efeplan.planning import (
     ConfigurationError,
+    EfeBreakdown,
     ObjectiveKind,
     PlanContext,
     action_marginal,
@@ -356,6 +357,50 @@ class TestScorePolicies:
                     q_s, model.likelihood, model.risk_state_prior.probs)
                 for q_s in scored.states
             ]
+
+
+def _assert_summed_is_the_sum_of_breakdowns(scores) -> None:
+    """Each summed field, as hex, is sum() of that field over the breakdowns: NaN
+    matches NaN and the sign of a zero counts."""
+    for scored in scores:
+        for field in dataclasses.fields(EfeBreakdown):
+            want = sum(getattr(part, field.name) for part in scored.breakdowns)
+            assert getattr(scored.summed, field.name).hex() == want.hex(), field.name
+
+
+class TestScoreSums:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans(),
+           risk_prior=st.booleans())
+    def test_summed_is_the_left_to_right_sum_property(self, seed, deterministic, risk_prior):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(
+            rng, max_states=4, max_outcomes=3, max_actions=3, min_horizon=2, max_horizon=5,
+            deterministic_likelihood=deterministic, all_policies=True, risk_prior=risk_prior,
+        )
+        q_now = helpers.random_categorical(rng, model.num_states)
+        for objective in ObjectiveKind:
+            if not risk_prior and objective in (ObjectiveKind.EXPECTED_UTILITY_STATES,
+                                                ObjectiveKind.RISK_ONLY):
+                continue
+            for epoch in range(1, model.horizon):
+                executed = model.policies[0].actions[: epoch - 1]
+                ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
+                viable = [model.policies[i] for i in ctx.viable(model.policies)]
+                _assert_summed_is_the_sum_of_breakdowns(
+                    score_policies(model, q_now, viable, ctx, objective))
+
+    def test_a_negative_zero_part_sums_to_positive_zero(self):
+        # after the cue the context is known, so staying there predicts one
+        # outcome for sure: the one step's intrinsic is -0.0, and sum() gives 0.0
+        model = build_tmaze_model()
+        cue_white = Categorical(np.eye(8)[3])
+        ctx = PlanContext(current_epoch=2, executed_actions=(3,))
+        [scored] = score_policies(model, cue_white, [Policy((3, 3))], ctx,
+                                  ObjectiveKind.EXPECTED_FREE_ENERGY)
+        assert [part.intrinsic.hex() for part in scored.breakdowns] == ["-0x0.0p+0"]
+        assert scored.summed.intrinsic.hex() == "0x0.0p+0"
+        _assert_summed_is_the_sum_of_breakdowns([scored])
 
 
 class TestPolicyPosterior:
