@@ -8,6 +8,7 @@ matched seeds are identical across agents.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,9 +27,10 @@ from .planning import (
     ObjectiveKind,
     PlanContext,
     action_marginal,
+    break_tie,
     policy_posterior,
     score_policies,
-    select_action,
+    tie_set,
 )
 from .tmaze import (
     ACTION_LABELS,
@@ -36,6 +38,7 @@ from .tmaze import (
     CONTEXT_LABELS,
     LOCATION_LABELS,
     NUM_LOCATIONS,
+    OUTCOME_SCORES,
     REWARD_PROB,
     build_tmaze_model,
     default_context,
@@ -169,13 +172,18 @@ def run_trial(
     """One full trial from the env's current state, which the record keeps.
 
     Every epoch is planned through a memo keyed by the (executed actions,
-    observations) history. A memo dict shared by trials of one model and config
-    plans each distinct history once: later visits reuse its records and only
-    select the action and step the env. Without one, a fresh dict serves the
-    trial; each epoch's history is one observation longer, so it never hits.
-    Records are the same either way. An entry keeps its history's filtered
-    beliefs, so a miss filters only the newest observation.
+    observations) history. An entry holds what a later visit needs: the
+    epoch's record for each action of the tie set (one record, with action
+    None, at the final epoch), the tie set, and the history's filtered
+    beliefs. A hit draws the tie-break, steps the env and appends the stored
+    record; a miss filters only the newest observation. A memo dict shared by
+    trials of one model and plan key plans each distinct history once. Without
+    one, a fresh dict serves the trial; each epoch's history is one
+    observation longer, so it never hits. Records are the same either way.
     """
+    if model.num_outcomes > len(OUTCOME_SCORES):
+        raise ValueError(f"run_trial scores outcomes with the maze's {len(OUTCOME_SCORES)} "
+                         f"outcome scores; the model has {model.num_outcomes} outcomes")
     memo = {} if memo is None else memo
     initial_state = env.state
     observations = [env.observe()]
@@ -185,19 +193,22 @@ def run_trial(
 
     for epoch in range(1, model.horizon + 1):
         key = (tuple(executed), tuple(observations))
-        if key not in memo:
+        entry = memo.get(key)
+        if entry is None:
             pred = (model.transitions[executed[-1]] @ rows[-1] if executed
                     else model.state_prior.probs)
             rows = (*rows, filter_step(model, pred, observations[-1], epoch, trial))
-            memo[key] = (*_plan_epoch(model, config, *key, rows), rows)
-        fields, marg, rows = memo[key]
+            fields, marg = _plan_epoch(model, config, *key, rows)
+            tied = () if marg is None else tie_set(marg, config.tie_tolerance)
+            records = {a: EpochRecord(action=a, **fields) for a in tied or (None,)}
+            entry = memo[key] = (records, tied, rows)
+        records, tied, rows = entry
 
-        action = None
-        if marg is not None:
-            action = select_action(marg, rng, config.tie_tolerance)
+        action = break_tie(tied, rng) if tied else None
+        epoch_records.append(records[action])
+        if action is not None:
             executed.append(action)
             observations.append(env.step(action))
-        epoch_records.append(EpochRecord(action=action, **fields))
 
     score_delta = sum(score_outcome(o) for o in observations)
     return TrialRecord(
@@ -225,6 +236,18 @@ def _maze_model(config: ExperimentConfig) -> GenerativeModel:
             f"(8 states, 7 outcomes, 4 actions, horizon 3); got {shape}"
         )
     return model
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_plans(reward_prob: float, zero_sign: float, agent: ObjectiveKind,
+                  precision: float, tie_tolerance: float) -> tuple[GenerativeModel, dict]:
+    """The built-in maze and the one history memo that its runs of a plan key share.
+
+    A plan depends on these config fields alone, not on the seed or the trial
+    count. zero_sign keeps reward_prob 0.0 and -0.0 apart: they compare equal,
+    but the signs of the likelihood's zeros, and so the records, differ.
+    """
+    return build_tmaze_model(reward_prob), {}
 
 
 def _trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -258,12 +281,20 @@ def _scheduled_trial(
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
-    """Run the scheduled trials; fully deterministic for a given config."""
+    """Run the scheduled trials; fully deterministic for a given config.
+
+    Runs of the built-in maze share a history memo per plan key for the life of
+    the process, so each history is planned once. A spec run plans through its
+    own memo, because the file can change between runs.
+    """
     start = time.perf_counter()
-    model = _maze_model(config)
+    if config.model_path is None:
+        model, memo = _shared_plans(config.reward_prob, math.copysign(1.0, config.reward_prob),
+                                    config.agent, config.precision, config.tie_tolerance)
+    else:
+        model, memo = _maze_model(config), {}
     records: list[TrialRecord] = []
     cumulative = 0
-    memo: dict = {}  # one model and config: every history plans the same way
     env = ModelEnvironment(model)  # each trial sets its generator
     for trial in range(1, config.trials + 1):
         record = _scheduled_trial(model, env, config, trial, cumulative, memo)

@@ -9,6 +9,7 @@ preserved verbatim.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import operator
@@ -174,11 +175,11 @@ def validate(model: GenerativeModel) -> list[str]:
     return v
 
 
-def _cumulative_columns(matrix: np.ndarray) -> list[np.ndarray]:
+def _cumulative_columns(matrix: np.ndarray) -> list[list[float]]:
     """Each column's cumulative sums, inf from its last entry with mass on."""
     rows = np.arange(len(matrix))[:, None]
     last = len(matrix) - 1 - (matrix[::-1] > 0.0).argmax(axis=0)
-    return list(np.where(rows < last, np.cumsum(matrix, axis=0), np.inf).T.copy())
+    return np.where(rows < last, np.cumsum(matrix, axis=0), np.inf).T.tolist()
 
 
 @dataclass(eq=False)
@@ -191,6 +192,7 @@ class ModelEnvironment:
     more unless its transition column is one-hot. A draw is the searchsorted
     (side="right") index in the column's cumulative sums, inf from its last
     entry with mass on, so no draw passes that entry where the sums end below 1.
+    The sums are Python lists and bisect_right finds that index.
     """
 
     model: GenerativeModel
@@ -209,8 +211,8 @@ class ModelEnvironment:
             raise ValueError(f"state {state} outside 0..{self.model.num_states - 1}")
         self.state = operator.index(state)  # a numpy integer becomes an int; 2.0 is refused
 
-    def _draw(self, cumulative: np.ndarray) -> int:
-        return int(cumulative.searchsorted(self.rng.random(), side="right"))
+    def _draw(self, cumulative: list[float]) -> int:
+        return bisect.bisect_right(cumulative, self.rng.random())
 
     def observe(self) -> int:
         return self._draw(self._outcomes[self.state])

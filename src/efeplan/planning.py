@@ -301,6 +301,20 @@ def action_marginal(
     return Categorical(marginal / marginal.sum())
 
 
+def tie_set(action_marg: Categorical, tie_tolerance: float = 1e-9) -> tuple[int, ...]:
+    """The actions within tie_tolerance of the most likely one, ascending.
+
+    Actions with zero probability never tie: no viable policy takes them.
+    """
+    probs = action_marg.probs
+    return tuple(np.flatnonzero((probs > 0.0) & (probs >= probs.max() - tie_tolerance)).tolist())
+
+
+def break_tie(tied: Sequence[int], rng: np.random.Generator) -> int:
+    """One of the tied actions, uniformly at random from exactly one draw."""
+    return tied[int(rng.random() * len(tied))]
+
+
 def select_action(
     action_marg: Categorical,
     rng: np.random.Generator,
@@ -308,14 +322,10 @@ def select_action(
 ) -> int:
     """Most likely action; ties within tie_tolerance break uniformly at random.
 
-    Actions with zero probability never tie: no viable policy takes them.
     Consumes exactly one draw from the generator per call so matched seeds
     stay aligned whether or not a tie occurs.
     """
-    probs = action_marg.probs
-    tied = np.flatnonzero((probs > 0.0) & (probs >= probs.max() - tie_tolerance))
-    draw = rng.random()
-    return int(tied[int(draw * len(tied))])
+    return break_tie(tie_set(action_marg, tie_tolerance), rng)
 
 
 def evidence_bound_diagnostic(

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from efeplan import harness
 from efeplan.cli import UsageError, config_from_args, main, parse_cli
 from efeplan.harness import (
     ExperimentConfig,
@@ -45,6 +46,7 @@ from efeplan.planning import (
     PlanContext,
     evidence_bound_diagnostic,
     score_policies,
+    select_action,
 )
 from efeplan.tmaze import (
     BLACK,
@@ -195,6 +197,19 @@ class TestRunTrial:
         assert "outcome 6 at timestep 2 has zero probability" in str(info.value)
         assert "policy" not in str(info.value)
 
+    def test_more_outcomes_than_the_maze_scores_are_refused_before_a_draw(self):
+        model = GenerativeModel(
+            num_states=2, num_outcomes=9, num_actions=1, horizon=2,
+            likelihood=np.full((9, 2), 1 / 9), transitions=(np.eye(2),), preferences=np.zeros(9),
+            state_prior=Categorical(np.array([0.5, 0.5])), policies=PolicySet((Policy((0,)),)),
+        )
+        env = ModelEnvironment(model, np.random.default_rng(0))
+        env.reset(0)
+        before = env.rng.bit_generator.state
+        with pytest.raises(ValueError, match="maze's 7 outcome scores; the model has 9 outcomes"):
+            run_trial(model, env, _config(), np.random.default_rng(1))
+        assert env.rng.bit_generator.state == before
+
     def test_a_spec_run_samples_the_specs_own_likelihood(self, tmp_path, capsys):
         _save_contradicting_maze(tmp_path / "contradicting.json")
         path = str(tmp_path / "contradicting.json")
@@ -296,9 +311,10 @@ def _float_hex(x):
 
 
 def _memo_free_trials(config: ExperimentConfig) -> tuple:
-    """run_experiment's trials on the maze, planned afresh at every epoch with
-    a new environment per trial."""
-    model = build_tmaze_model(config.reward_prob)
+    """run_experiment's trials on the config's model, planned afresh at every
+    epoch with a new environment per trial."""
+    model = (build_tmaze_model(config.reward_prob) if config.model_path is None
+             else load_spec(config.model_path))
     trials, cumulative = [], 0
     for trial in range(1, config.trials + 1):
         env_rng, tie_rng = _trial_rngs(config.seed, trial)
@@ -311,6 +327,15 @@ def _memo_free_trials(config: ExperimentConfig) -> tuple:
     return tuple(trials)
 
 
+def _planned_epochs(monkeypatch) -> list:
+    """A list that grows by one for every epoch the harness plans from now on."""
+    planned = []
+    plan_epoch = harness._plan_epoch
+    monkeypatch.setattr(harness, "_plan_epoch",
+                        lambda *args: planned.append(args) or plan_epoch(*args))
+    return planned
+
+
 class TestHistoryMemo:
     @pytest.mark.parametrize("agent", ["efe", "eig", "eu"])
     def test_matches_memo_free_loop_on_the_maze(self, agent):
@@ -319,7 +344,7 @@ class TestHistoryMemo:
             got = run_experiment(config).trials
             assert _float_hex(got) == _float_hex(_memo_free_trials(config)), seed
 
-    def test_memo_is_scoped_to_one_run(self):
+    def test_each_plan_key_keeps_its_own_memo(self):
         # back to back, each run meets the histories of the one before it
         for config in (
             _config(trials=13),
@@ -329,6 +354,68 @@ class TestHistoryMemo:
         ):
             got = run_experiment(config).trials
             assert _float_hex(got) == _float_hex(_memo_free_trials(config)), config
+
+    def test_runs_that_share_a_memo_match_the_memo_free_loop(self):
+        first = _config(trials=13, precision=3.5)  # a key no other test plans
+        evicting = [_config(trials=1, precision=10.0 + k)
+                    for k in range(harness._shared_plans.cache_info().maxsize)]
+        for config in (
+            first,
+            _config(seed=0), _config(seed=7),  # one key, two seeds
+            _config(trials=13, precision=1), _config(trials=13, precision=1.0),
+            _config(trials=13, tie_tolerance=0.0), _config(trials=13, tie_tolerance=-0.0),
+            _config(trials=13, tie_tolerance=0.6),  # every action with mass ties
+            _config(trials=13, reward_prob=1), _config(trials=13, reward_prob=1.0),
+            # equal keys whose likelihoods differ in the sign of their zeros
+            _config(trials=13, reward_prob=0.0), _config(trials=13, reward_prob=-0.0),
+            _config(trials=13, agent=ObjectiveKind.INFO_GAIN_ONLY),
+            *evicting,
+            first,
+        ):
+            got = run_experiment(config).trials
+            assert _float_hex(got) == _float_hex(_memo_free_trials(config)), config
+
+    def test_a_repeated_plan_key_plans_no_epoch(self, monkeypatch):
+        config = _config(trials=20, seed=11, precision=2.5)
+        run_experiment(config)
+        repeats = (config, dataclasses.replace(config, trials=7))
+        want = [_float_hex(_memo_free_trials(again)) for again in repeats]
+        planned = _planned_epochs(monkeypatch)
+        got = [_float_hex(run_experiment(again).trials) for again in repeats]
+        assert planned == []
+        assert got == want
+
+    def test_an_evicted_plan_key_plans_again(self, monkeypatch):
+        first = _config(trials=5, precision=5.5)
+        run_experiment(first)
+        for k in range(harness._shared_plans.cache_info().maxsize):
+            run_experiment(_config(trials=1, precision=20.0 + k))
+        planned = _planned_epochs(monkeypatch)
+        run_experiment(first)
+        assert planned
+
+    def test_spec_runs_plan_the_file_they_read(self, tmp_path):
+        path = tmp_path / "maze.json"
+        for reward_prob in (0.6, 0.98):  # the same path, rewritten between the runs
+            save_spec(build_tmaze_model(reward_prob), path)
+            config = _config(trials=13, model_path=str(path))
+            got = run_experiment(config).trials
+            assert _float_hex(got) == _float_hex(_memo_free_trials(config)), reward_prob
+
+    @pytest.mark.parametrize("agent", ["efe", "eig", "eu"])
+    def test_actions_replay_through_select_action(self, agent):
+        # the memo's hit path draws the tie-break itself; the public
+        # select_action on each recorded marginal must pick the same actions
+        for seed in range(32):
+            config = _config(agent=ObjectiveKind(agent), seed=seed)
+            for tr in run_experiment(config).trials:
+                _, tie_rng = _trial_rngs(seed, tr.trial)
+                replayed = tuple(
+                    select_action(Categorical(np.array(e.action_marginal)), tie_rng,
+                                  config.tie_tolerance)
+                    for e in tr.epochs if e.action_marginal is not None
+                )
+                assert replayed == tr.actions, (seed, tr.trial)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -169,7 +169,72 @@ def _two_state_model(likelihood, transition) -> GenerativeModel:
     )
 
 
+class _Uniforms:
+    """A generator stub that hands out the given draws in order."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def random(self) -> float:
+        return self.draws.pop(0)
+
+
+def _searchsorted_draw(column: np.ndarray, u: float) -> int:
+    """The searchsorted (side="right") index of u in the column's cumulative
+    sums, inf from its last entry with mass on."""
+    cumulative = np.cumsum(column)
+    cumulative[np.flatnonzero(column > 0.0)[-1]:] = np.inf
+    return int(np.searchsorted(cumulative, u, side="right"))
+
+
+def _draws_for(column: np.ndarray, rng: np.random.Generator) -> list[float]:
+    """Uniforms at and around each cumulative sum, the ends of [0, 1), and random ones."""
+    sums = np.cumsum(column)
+    return [0.0, 1.0 - 2.0**-53, *rng.random(3),
+            *(x for s in sums for x in (np.nextafter(s, 0.0), s, np.nextafter(s, 2.0))
+              if 0.0 <= x < 1.0)]
+
+
 class TestModelEnvironment:
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
+    def test_draws_are_the_searchsorted_index(self, seed, deterministic):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(rng, max_states=5, max_outcomes=5,
+                                     deterministic_likelihood=deterministic)
+        # one-hot moves, and columns whose cumulative sums end below 1
+        one_hot = np.eye(model.num_states)[rng.integers(model.num_states, size=model.num_states)].T
+        short = rng.random(model.num_states) < 0.5
+        short[0] = True
+        model = dataclasses.replace(
+            model,
+            likelihood=np.where(short, model.likelihood * (1.0 - 1e-12), model.likelihood),
+            transitions=tuple(np.where(rng.random(model.num_states) < 0.5, one_hot, b)
+                              for b in model.transitions),
+        )
+        assert validate(model) == []
+        assert any(np.cumsum(model.likelihood, axis=0)[-1] < 1.0)
+        env = ModelEnvironment(model)
+        for s in range(model.num_states):
+            column = model.likelihood[:, s]
+            for u in _draws_for(column, rng):
+                env.rng = _Uniforms([u])
+                env.reset(s)
+                assert env.observe() == _searchsorted_draw(column, u), (s, u)
+            for a, b in enumerate(model.transitions):
+                column = b[:, s]
+                if np.count_nonzero(column) == 1:  # no draw: the one observation takes it
+                    env.rng = _Uniforms([0.0])
+                    env.reset(s)
+                    env.step(a)
+                    assert env.state == int(column.argmax()) and env.rng.draws == []
+                    continue
+                for u in _draws_for(column, rng):
+                    env.rng = _Uniforms([u, 0.0])
+                    env.reset(s)
+                    env.step(a)
+                    assert env.state == _searchsorted_draw(column, u), (a, s, u)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_every_draw_has_mass(self, seed):

@@ -18,6 +18,7 @@ from efeplan.planning import (
     PlanContext,
     action_marginal,
     ambiguity,
+    break_tie,
     evidence_bound_diagnostic,
     expected_free_energy,
     expected_info_gain,
@@ -29,6 +30,7 @@ from efeplan.planning import (
     score_policies,
     select_action,
     state_outcome_utility_comparison,
+    tie_set,
 )
 from efeplan.tmaze import build_tmaze_model
 
@@ -530,6 +532,30 @@ class TestSelectAction:
         a = [select_action(marg, np.random.default_rng(123), 1e-9) for _ in range(5)]
         b = [select_action(marg, np.random.default_rng(123), 1e-9) for _ in range(5)]
         assert a == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # weights with zeros and near-ties: the top weight plus or minus a hair
+        weights=st.lists(st.sampled_from([0.0, 1.0, 1.0 + 1e-12, 1.0 - 1e-12, 1.0 + 1e-6,
+                                          0.5, 0.25]), min_size=1, max_size=6)
+                  .filter(lambda w: sum(w) > 0.0),
+        tie_tolerance=st.sampled_from([0.0, 1e-13, 1e-9, 1e-3, 0.6, 2.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_select_action_is_the_tie_set_and_one_draw(self, weights, tie_tolerance, seed):
+        marg = Categorical(np.array(weights) / sum(weights))
+        tied = tie_set(marg, tie_tolerance)
+        probs = marg.probs
+        assert tied == tuple(a for a in range(len(probs))
+                             if probs[a] > 0.0 and probs[a] >= probs.max() - tie_tolerance)
+        assert int(np.argmax(probs)) in tied
+        assert all(type(a) is int for a in tied)
+
+        selecting, breaking, reference = (np.random.default_rng(seed) for _ in range(3))
+        assert select_action(marg, selecting, tie_tolerance) == break_tie(tied, breaking)
+        reference.random()
+        for rng in (selecting, breaking):
+            assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestEvidenceBoundDiagnostic:
