@@ -14,8 +14,7 @@ import numpy as np
 
 from .harness import (
     ExperimentConfig,
-    _maze_model,
-    _resolve_model,
+    _plans,
     _scheduled_trial,
     emit_plot_data,
     run_experiment,
@@ -24,7 +23,7 @@ from .harness import (
 from .model import ModelEnvironment, ModelSpecError, load_spec
 from .numerics import normalize
 from .planning import ConfigurationError, ObjectiveKind, PlanContext, score_policies
-from .tmaze import ACTION_LABELS, CONTEXT_LABELS, OUTCOME_LABELS
+from .tmaze import ACTION_LABELS, CONTEXT_LABELS, OUTCOME_LABELS, build_tmaze_model
 
 AGENT_NAMES = tuple(kind.value for kind in ObjectiveKind)
 
@@ -140,8 +139,8 @@ def _cmd_trial(args) -> int:
     config = config_from_args(args)
     if args.trial < 1:
         raise UsageError(f"--trial must be >= 1, got {args.trial}")
-    model = _maze_model(config)
-    record = _scheduled_trial(model, ModelEnvironment(model), config, args.trial)
+    model, memo = _plans(config)  # the memo run_experiment plans through
+    record = _scheduled_trial(model, ModelEnvironment(model), config, args.trial, memo=memo)
 
     print(f"trial {record.trial}: context={CONTEXT_LABELS[record.true_context]} "
           f"agent={config.agent.value}")
@@ -159,7 +158,7 @@ def _cmd_trial(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    model = _resolve_model(args.model, ExperimentConfig.reward_prob)  # no --reward-prob
+    model = build_tmaze_model() if args.model is None else load_spec(args.model)
     if model.horizon < 2:
         raise ModelSpecError(
             f"decompose needs a model with a planning epoch; horizon {model.horizon} has none"

@@ -119,40 +119,39 @@ def _plan_epoch(
     """Everything the agent computes at one epoch from its history.
 
     rows are the history's filtered beliefs, one per epoch so far; every
-    viable policy shares them. Returns the epoch's EpochRecord fields except
-    the action, and the action marginal to select from (None at the final
-    epoch).
+    viable policy shares them, so only the viable policies' predicted rows are
+    mixed, and the final epoch, with one viable policy, records rows as they
+    are. Returns the epoch's EpochRecord fields except the action, and the
+    action marginal to select from (None at the final epoch).
     """
     policies = model.policies
-    horizon = model.horizon
     epoch = len(observations)
     ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
     viable = ctx.viable(policies)
-    filtered_rows = np.array(rows)
 
     g = np.full(len(policies), math.nan)
     breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
-    beliefs: list[np.ndarray | None] = [None] * len(policies)
-    if epoch < horizon:
-        q_now = Categorical(rows[-1])
-        scores = score_policies(model, q_now, [policies[i] for i in viable], ctx, config.agent)
+    predicted: list[np.ndarray | None] = [None] * len(policies)
+    planning = epoch < model.horizon
+    if planning:
+        scores = score_policies(model, Categorical(rows[-1]), [policies[i] for i in viable],
+                                ctx, config.agent)
         for i, scored in zip(viable, scores):
             g[i] = scored.total
             breakdowns[i] = scored.summed
-            beliefs[i] = np.vstack((filtered_rows, scored.states))
+            predicted[i] = scored.states
     else:
         g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
-        for i in viable:
-            beliefs[i] = filtered_rows
 
     post = policy_posterior(g, policies, ctx, config.precision)
-    marg = action_marginal(post, policies, epoch, model.num_actions) if epoch < horizon else None
+    marg = action_marginal(post, policies, epoch, model.num_actions) if planning else None
+    bma = np.vstack((*rows, bma_beliefs(post, predicted))) if planning else np.array(rows)
     fields = dict(
         epoch=epoch,
         observation=observations[-1],
         action_marginal=None if marg is None else tuple(marg.probs.tolist()),
         policy_posterior=tuple(post.probs.tolist()),
-        bma_states=tuple(tuple(row) for row in bma_beliefs(post, beliefs).tolist()),
+        bma_states=tuple(tuple(row) for row in bma.tolist()),
         g_values=tuple(g.tolist()),
         breakdowns=tuple(breakdowns),
     )
@@ -221,23 +220,6 @@ def run_trial(
     )
 
 
-def _resolve_model(model_path: str | None, reward_prob: float) -> GenerativeModel:
-    """The spec at model_path (load_spec validates it), else the built-in maze."""
-    return build_tmaze_model(reward_prob) if model_path is None else load_spec(model_path)
-
-
-def _maze_model(config: ExperimentConfig) -> GenerativeModel:
-    """The config's model; the experiment driver's schedule and scoring need the maze's shape."""
-    model = _resolve_model(config.model_path, config.reward_prob)
-    shape = (model.num_states, model.num_outcomes, model.num_actions, model.horizon)
-    if shape != (8, 7, 4, 3):
-        raise ModelSpecError(
-            f"the experiment driver needs a maze-shaped model "
-            f"(8 states, 7 outcomes, 4 actions, horizon 3); got {shape}"
-        )
-    return model
-
-
 @functools.lru_cache(maxsize=16)
 def _shared_plans(reward_prob: float, zero_sign: float, agent: ObjectiveKind,
                   precision: float, tie_tolerance: float) -> tuple[GenerativeModel, dict]:
@@ -248,6 +230,26 @@ def _shared_plans(reward_prob: float, zero_sign: float, agent: ObjectiveKind,
     but the signs of the likelihood's zeros, and so the records, differ.
     """
     return build_tmaze_model(reward_prob), {}
+
+
+def _plans(config: ExperimentConfig) -> tuple[GenerativeModel, dict]:
+    """The config's model and the history memo its trials plan through.
+
+    The built-in maze comes with the memo that its runs of a plan key share. A
+    spec is loaded and gets a fresh memo, because the file can change between
+    runs; the experiment driver's schedule and scoring need the maze's shape.
+    """
+    if config.model_path is None:
+        return _shared_plans(config.reward_prob, math.copysign(1.0, config.reward_prob),
+                             config.agent, config.precision, config.tie_tolerance)
+    model = load_spec(config.model_path)
+    shape = (model.num_states, model.num_outcomes, model.num_actions, model.horizon)
+    if shape != (8, 7, 4, 3):
+        raise ModelSpecError(
+            f"the experiment driver needs a maze-shaped model "
+            f"(8 states, 7 outcomes, 4 actions, horizon 3); got {shape}"
+        )
+    return model, {}
 
 
 def _trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -283,16 +285,12 @@ def _scheduled_trial(
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     """Run the scheduled trials; fully deterministic for a given config.
 
-    Runs of the built-in maze share a history memo per plan key for the life of
-    the process, so each history is planned once. A spec run plans through its
-    own memo, because the file can change between runs.
+    The trials plan through _plans' memo: runs of the built-in maze share one
+    per plan key for the life of the process, so each history is planned once,
+    and a spec run plans through its own.
     """
     start = time.perf_counter()
-    if config.model_path is None:
-        model, memo = _shared_plans(config.reward_prob, math.copysign(1.0, config.reward_prob),
-                                    config.agent, config.precision, config.tie_tolerance)
-    else:
-        model, memo = _maze_model(config), {}
+    model, memo = _plans(config)
     records: list[TrialRecord] = []
     cumulative = 0
     env = ModelEnvironment(model)  # each trial sets its generator
@@ -428,18 +426,20 @@ def _config_echo(config: ExperimentConfig, fmt: str) -> dict:
     return {**vars(config), "agent": config.agent.value, "output_format": fmt}
 
 
-def _state_marginal_columns(num_states: int) -> list[str]:
-    if num_states == 8:
-        return [*(f"loc_{label}" for label in LOCATION_LABELS),
-                *(f"ctx_{label}" for label in CONTEXT_LABELS)]
-    return [f"state_{s}" for s in range(num_states)]
+def _maze_layout(first: EpochRecord) -> bool:
+    """Whether a record whose first epoch is `first` has the maze's 8 states and 4
+    actions; its tables then name locations, contexts and actions, else indices."""
+    return (len(first.bma_states[0]), len(first.action_marginal or ())) == (8, 4)
 
 
-def _state_marginal_values(bma: tuple[float, ...]) -> list[float]:
-    if len(bma) == 8:
-        probs = np.asarray(bma).reshape(2, 4)
-        return [*probs.sum(axis=0).tolist(), *probs.sum(axis=1).tolist()]
-    return list(bma)
+_MAZE_BELIEF_COLUMNS = (*(f"loc_{label}" for label in LOCATION_LABELS),
+                        *(f"ctx_{label}" for label in CONTEXT_LABELS))
+
+
+def _maze_marginals(bma: tuple[float, ...]) -> list[float]:
+    """The location then the context marginals of a maze state belief."""
+    probs = np.asarray(bma).reshape(2, 4)
+    return [*probs.sum(axis=0).tolist(), *probs.sum(axis=1).tolist()]
 
 
 def _breakdown_tails(breakdowns: tuple[EfeBreakdown | None, ...]) -> list[list]:
@@ -451,21 +451,22 @@ def _breakdown_tails(breakdowns: tuple[EfeBreakdown | None, ...]) -> list[list]:
 
 def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[list]]]:
     """Assemble the output tables as (header, rows) pairs keyed by table name."""
-    num_states = len(record.trials[0].epochs[0].bma_states[0])
+    first = record.trials[0].epochs[0]
+    maze = _maze_layout(first)
     trials_rows = []
     beliefs_rows = _Rows()
     breakdown_rows = _Rows()
     for tr in record.trials:
         trials_rows.append([
             tr.trial,
-            CONTEXT_LABELS[tr.true_context] if num_states == 8 else tr.initial_state,
-            *(ACTION_LABELS[a] if num_states == 8 else a for a in tr.actions),
+            CONTEXT_LABELS[tr.true_context] if maze else tr.initial_state,
+            *(ACTION_LABELS[a] if maze else a for a in tr.actions),
             tr.score_delta,
             tr.cumulative_score,
         ])
         for e in tr.epochs:
-            bma = e.bma_states[e.epoch - 1]
-            beliefs_rows.add([tr.trial, e.epoch], bma, lambda row: [_state_marginal_values(row)])
+            beliefs_rows.add([tr.trial, e.epoch], e.bma_states[e.epoch - 1],
+                             lambda row: [_maze_marginals(row) if maze else list(row)])
         for e in tr.epochs:
             if e.action is not None:
                 breakdown_rows.add([tr.trial, e.epoch], e.breakdowns, _breakdown_tails)
@@ -477,7 +478,8 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
             trials_rows,
         ),
         "beliefs": (
-            ["trial", "epoch", *_state_marginal_columns(num_states)],
+            ["trial", "epoch", *(_MAZE_BELIEF_COLUMNS if maze else
+                                 (f"state_{s}" for s in range(len(first.bma_states[0]))))],
             beliefs_rows,
         ),
         "policies": _policy_table(record),
@@ -543,14 +545,13 @@ def emit_plot_data(record: ExperimentRecord, output_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     first = record.trials[0]
     horizon = len(first.epochs)
-    num_states = len(first.epochs[0].bma_states[0])
-    if num_states != 8:
-        raise ValueError("plot data emission expects the 8-state maze layout")
+    if not _maze_layout(first.epochs[0]):
+        raise ValueError("plot data emission expects the maze layout (8 states, 4 actions)")
 
     held_cols = [f"at_epoch{h}" for h in range(1, horizon + 1)]
     # marginals[about][held]: location then context marginals of the belief
     # about timestep about+1 held at epoch held+1
-    marginals = [[_state_marginal_values(e.bma_states[about]) for e in first.epochs]
+    marginals = [[_maze_marginals(e.bma_states[about]) for e in first.epochs]
                  for about in range(horizon)]
     position_rows = [[about + 1, LOCATION_LABELS[loc], *[m[loc] for m in held]]
                      for about, held in enumerate(marginals) for loc in range(4)]

@@ -18,7 +18,7 @@ from efeplan.harness import (
     ExperimentRecord,
     _csv_text,
     _json_text,
-    _maze_model,
+    _plans,
     _Rows,
     _scheduled_trial,
     _trial_rngs,
@@ -28,7 +28,7 @@ from efeplan.harness import (
     run_trial,
     write_records,
 )
-from efeplan.inference import ImpossibleObservationError, infer_states
+from efeplan.inference import ImpossibleObservationError, bma_beliefs, infer_states
 from efeplan.model import (
     GenerativeModel,
     ModelEnvironment,
@@ -394,6 +394,14 @@ class TestHistoryMemo:
         run_experiment(first)
         assert planned
 
+    def test_trial_plans_through_the_runs_memo(self, monkeypatch, capsys):
+        run_experiment(_config())
+        planned = _planned_epochs(monkeypatch)
+        assert main(["trial", "--trial", "7"]) == 0
+        assert planned == []
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256["trial --trial 7"]
+
     def test_spec_runs_plan_the_file_they_read(self, tmp_path):
         path = tmp_path / "maze.json"
         for reward_prob in (0.6, 0.98):  # the same path, rewritten between the runs
@@ -444,7 +452,9 @@ class TestHistoryMemo:
     @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
     def test_memo_carries_each_historys_filtered_rows(self, seed, deterministic):
         # a miss extends its parent history's rows by one filter step; the rows
-        # must be the whole-history filter of every policy the history allows
+        # must be the whole-history filter of every policy the history allows,
+        # and each record's beliefs those rows, then the viable policies'
+        # predictions mixed by its posterior
         rng = np.random.default_rng(seed)
         model = helpers.random_model(
             rng, max_states=4, max_outcomes=3, max_actions=3, min_horizon=2, max_horizon=4,
@@ -456,7 +466,7 @@ class TestHistoryMemo:
                 run_trial(model, _env_from_prior(model, np.random.default_rng([seed, trial])),
                           _config(agent=agent), np.random.default_rng([seed, trial, 1]),
                           trial=trial, memo=memo)
-            for (executed, observations), (*_, rows) in memo.items():
+            for (executed, observations), (records, _, rows) in memo.items():
                 epoch = len(observations)
                 assert len(rows) == epoch
                 observed = tuple(enumerate(observations, start=1))
@@ -466,6 +476,20 @@ class TestHistoryMemo:
                     want = infer_states(model, policy, observed).states[:epoch]
                     assert all(np.array_equal(row, q.probs) for row, q in zip(rows, want)), (
                         agent, executed, observations, policy)
+                predicted = [None] * len(model.policies)
+                if epoch < model.horizon:
+                    ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
+                    viable = ctx.viable(model.policies)
+                    scores = score_policies(model, Categorical(rows[-1]),
+                                            [model.policies[i] for i in viable], ctx, agent)
+                    for i, scored in zip(viable, scores):
+                        predicted[i] = scored.states
+                for record in records.values():
+                    assert np.array_equal(record.bma_states[:epoch], rows), (agent, executed)
+                    if epoch < model.horizon:
+                        post = Categorical(np.array(record.policy_posterior))
+                        assert np.array_equal(record.bma_states[epoch:],
+                                              bma_beliefs(post, predicted)), (agent, executed)
 
 
 class TestWriteRecords:
@@ -637,7 +661,7 @@ class TestWriteRecords:
 
 def _record_without_memo(config: ExperimentConfig) -> ExperimentRecord:
     """run_experiment's record with each trial planned through its own fresh memo."""
-    model = _maze_model(config)
+    model, _ = _plans(config)
     env = ModelEnvironment(model)
     trials, cumulative = [], 0
     for trial in range(1, config.trials + 1):
@@ -951,24 +975,38 @@ class TestBuildTables:
                 assert row[header.index("G")] is None
 
     def test_a_non_maze_model_writes_action_indices(self, tmp_path):
-        # six actions: the maze's four action labels cannot name action 5
-        to_state_1 = np.array([[0.0, 0.0], [1.0, 1.0]])
-        model = GenerativeModel(
-            num_states=2, num_outcomes=2, num_actions=6, horizon=2,
-            likelihood=np.eye(2), transitions=(*[np.eye(2)] * 5, to_state_1),
-            preferences=np.array([0.0, 3.0]), state_prior=Categorical(np.array([0.5, 0.5])),
-            policies=PolicySet(tuple(Policy((a,)) for a in range(6))),
-        )
-        env = ModelEnvironment(model, np.random.default_rng(0))
-        env.reset(0)
-        trial = run_trial(model, env, _config(), np.random.default_rng(1))
-        assert trial.actions == (5,)
-        record = ExperimentRecord(config=_config(), trials=(trial,),
-                                  final_score=trial.cumulative_score, duration_seconds=0.0)
-        write_records(record, tmp_path / "csv", "csv")
-        rows = (tmp_path / "csv" / "trials.csv").read_text().splitlines()
-        assert rows[0].split(",")[:3] == ["trial", "context", "action1"]
-        assert rows[1].split(",")[:3] == ["1", "0", "5"]
-        write_records(record, tmp_path / "json", "json")
-        doc = json.loads((tmp_path / "json" / "records.json").read_text())
-        assert doc["trials"][0]["action1"] == 5
+        # six actions: the maze's four action labels cannot name action 5, and
+        # the model with the maze's 8 states still lacks the maze's layout
+        for num_states in (2, 8):
+            to_last = np.zeros((num_states, num_states))
+            to_last[-1] = 1.0
+            likelihood = np.zeros((2, num_states))
+            likelihood[0, :-1] = likelihood[1, -1] = 1.0  # the last state alone shows 1
+            model = GenerativeModel(
+                num_states=num_states, num_outcomes=2, num_actions=6, horizon=2,
+                likelihood=likelihood, transitions=(*[np.eye(num_states)] * 5, to_last),
+                preferences=np.array([0.0, 3.0]),
+                state_prior=Categorical(np.full(num_states, 1.0 / num_states)),
+                policies=PolicySet(tuple(Policy((a,)) for a in range(6))),
+            )
+            env = ModelEnvironment(model, np.random.default_rng(0))
+            env.reset(0)
+            trial = run_trial(model, env, _config(), np.random.default_rng(1))
+            assert trial.actions == (5,)
+            record = ExperimentRecord(config=_config(), trials=(trial,),
+                                      final_score=trial.cumulative_score, duration_seconds=0.0)
+            out = tmp_path / str(num_states)
+            state_cols = [f"state_{s}" for s in range(num_states)]
+            write_records(record, out / "csv", "csv")
+            rows = (out / "csv" / "trials.csv").read_text().splitlines()
+            assert rows[0].split(",")[:3] == ["trial", "context", "action1"]
+            assert rows[1].split(",")[:3] == ["1", "0", "5"]
+            beliefs = (out / "csv" / "beliefs.csv").read_text().splitlines()
+            assert beliefs[0].split(",") == ["trial", "epoch", *state_cols]
+            write_records(record, out / "json", "json")
+            doc = json.loads((out / "json" / "records.json").read_text())
+            assert doc["trials"][0]["action1"] == 5
+            assert all(list(row) == ["trial", "epoch", *state_cols] for row in doc["beliefs"])
+            with pytest.raises(ValueError, match="maze layout") as info:
+                emit_plot_data(record, out / "plots")
+            assert "\n" not in str(info.value)
