@@ -23,6 +23,7 @@ from .inference import bma_beliefs, filter_step
 from .model import GenerativeModel, ModelEnvironment, ModelSpecError, load_spec
 from .numerics import Categorical
 from .planning import (
+    TIE_TOLERANCE,
     EfeBreakdown,
     ObjectiveKind,
     PlanContext,
@@ -53,7 +54,7 @@ class ExperimentConfig:
     trials: int = 50
     seed: int = 0
     precision: float = 1.0
-    tie_tolerance: float = 1e-9
+    tie_tolerance: float = TIE_TOLERANCE
     reward_prob: float = REWARD_PROB
     model_path: str | None = None
 
@@ -309,9 +310,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
 
 # ---------------------------------------------------------------------------
 # Persistence. Every file is byte-identical across runs of the same config (no
-# timestamps). A table cell is a float, an int, a string or None. Each float is
-# rounded once, to 12 significant digits; the CSV and JSON renderers then spell
-# the rounded value, and a missing value (None or NaN), each in their own way.
+# timestamps). A table cell is a float, an int, a string or None; a table of
+# record objects that memo hits share holds spans of them, which the writer
+# derives and renders once per object. Each float is rounded once, to 12
+# significant digits; the CSV and JSON renderers then spell the rounded value,
+# and a missing value (None or NaN), each in their own way.
 # ---------------------------------------------------------------------------
 
 _JSON_INFINITIES = {"inf": "Infinity", "-inf": "-Infinity"}  # json.dumps' spelling
@@ -344,52 +347,40 @@ def _json_cell(x) -> str:
     return encode_basestring_ascii(x)
 
 
-class _Rows(list):
-    """A table's rows, grouped into spans that name where their cells come from.
+class _Rows:
+    """A table's rows as spans (lead, source): lead + tail for each tail of
+    derive(source), a record object that memo hits share across trials. No row
+    is held flat: the writer derives and renders each source once."""
 
-    Each span (lead, source, count) covers the next `count` rows. They start
-    with the cells `lead`, and their other cells derive from `source` alone,
-    an object of the record. Memo hits share those objects across trials, so
-    `add` derives a source's cells once and a writer renders them once, each
-    keyed by id(source) in a cache that lives for one table of one write. The
-    spans keep every source alive meanwhile, so no id is reused. Never key by
-    value: 0.0 == -0.0 and 1 == 1.0 hash alike but render differently.
-    """
+    def __init__(self, derive):
+        self.derive = derive
+        self.spans: list[tuple[list, object]] = []
 
-    __slots__ = ("spans", "_tails")
+    def add(self, lead: list, source) -> None:
+        self.spans.append((lead, source))
 
-    def __init__(self):
-        super().__init__()
-        self.spans: list[tuple[list, object, int]] = []
-        self._tails: dict[int, list[list]] = {}
-
-    def add(self, lead: list, source, derive) -> None:
-        """One row lead + tail for each tail of derive(source), derived once per source."""
-        tails = self._tails.get(id(source))
-        if tails is None:
-            tails = self._tails[id(source)] = derive(source)
-        self.extend([*lead, *tail] for tail in tails)
-        self.spans.append((lead, source, len(tails)))
+    def __iter__(self):
+        for lead, source in self.spans:
+            for tail in self.derive(source):
+                yield [*lead, *tail]
 
 
-def _rendered_rows(rows: list[list], cell_texts, sep: str) -> list[str]:
+def _rendered_rows(rows, cell_texts, sep: str) -> list[str]:
     """sep.join(cell_texts(cells, index of the first cell)) for each row.
 
-    For `_Rows`, each source's cells are rendered once, and each span's lead once.
+    The one place a `_Rows` source is derived and rendered: once per distinct
+    source per write, in a dict keyed by id(source), which the spans keep alive.
+    Never key by value: 0.0 == -0.0 and 1 == 1.0 hash alike but render apart.
     """
-    spans = getattr(rows, "spans", None)
-    if spans is None:
+    if not isinstance(rows, _Rows):
         return [sep.join(cell_texts(row, 0)) for row in rows]
     tails: dict[int, list[list[str]]] = {}
     lines = []
-    start = 0
-    for lead, source, count in spans:
+    for lead, source in rows.spans:
         texts = tails.get(id(source))
         if texts is None:
             first = len(lead)
-            texts = tails[id(source)] = [cell_texts(row[first:], first)
-                                         for row in rows[start:start + count]]
-        start += count
+            texts = tails[id(source)] = [cell_texts(tail, first) for tail in rows.derive(source)]
         head = cell_texts(lead, 0)
         lines += [sep.join(head + tail) for tail in texts]
     return lines
@@ -402,16 +393,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def _json_member(name: str, header: list[str], rows: list[list]) -> str:
     """A table as a member of the records document: a list of one object per row."""
-    key = f"  {encode_basestring_ascii(name)}: "
-    if not rows:
-        return key + "[]"
     keys = [f"      {encode_basestring_ascii(column)}: " for column in header]
 
     def cell_texts(cells, first):
         return list(map(str.__add__, keys[first:], map(_json_cell, cells)))
 
     objects = _rendered_rows(rows, cell_texts, ",\n")
-    return key + "[\n    {\n" + "\n    },\n    {\n".join(objects) + "\n    }\n  ]"
+    body = "[\n    {\n" + "\n    },\n    {\n".join(objects) + "\n    }\n  ]" if objects else "[]"
+    return f"  {encode_basestring_ascii(name)}: {body}"
 
 
 def _json_text(config_echo: dict, tables: dict[str, tuple[list[str], list[list]]]) -> str:
@@ -454,8 +443,8 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
     first = record.trials[0].epochs[0]
     maze = _maze_layout(first)
     trials_rows = []
-    beliefs_rows = _Rows()
-    breakdown_rows = _Rows()
+    beliefs_rows = _Rows(lambda bma: [_maze_marginals(bma) if maze else bma])
+    breakdown_rows = _Rows(_breakdown_tails)
     for tr in record.trials:
         trials_rows.append([
             tr.trial,
@@ -465,11 +454,10 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
             tr.cumulative_score,
         ])
         for e in tr.epochs:
-            beliefs_rows.add([tr.trial, e.epoch], e.bma_states[e.epoch - 1],
-                             lambda row: [_maze_marginals(row) if maze else list(row)])
-        for e in tr.epochs:
+            lead = [tr.trial, e.epoch]
+            beliefs_rows.add(lead, e.bma_states[e.epoch - 1])
             if e.action is not None:
-                breakdown_rows.add([tr.trial, e.epoch], e.breakdowns, _breakdown_tails)
+                breakdown_rows.add(lead, e.breakdowns)
 
     action_cols = [f"action{k}" for k in range(1, len(record.trials[0].actions) + 1)]
     return {
@@ -492,12 +480,14 @@ def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[li
 
 
 def _policy_table(record: ExperimentRecord) -> tuple[list[str], list[list]]:
-    """Per trial, the policy posterior of its final planning epoch."""
-    rows = _Rows()
+    """Per trial, the policy posterior of its last planning epoch, the one before the last."""
+    if len(record.trials[0].epochs) < 2:
+        raise ValueError("the policies table needs a planning epoch; a horizon-1 trial has none")
+    rows = _Rows(lambda posterior: [posterior])
     for tr in record.trials:
-        posterior = [e for e in tr.epochs if e.action is not None][-1].policy_posterior
-        rows.add([tr.trial], posterior, lambda row: [row])
-    return ["trial", *[f"policy{i}" for i in range(1, len(rows[0]))]], rows
+        rows.add([tr.trial], tr.epochs[-2].policy_posterior)
+    header = ["trial", *(f"policy{i}" for i, _ in enumerate(tr.epochs[-2].policy_posterior, 1))]
+    return header, rows
 
 
 def _write_csvs(out: Path, tables: dict[str, tuple[list[str], list[list]]]) -> list[Path]:

@@ -31,6 +31,8 @@ from .numerics import (
     softmax,
 )
 
+TIE_TOLERANCE = 1e-9  # default gap below the top action probability that still ties
+
 
 class ConfigurationError(ValueError):
     """Raised when an objective needs a model field the model does not define."""
@@ -301,7 +303,7 @@ def action_marginal(
     return Categorical(marginal / marginal.sum())
 
 
-def tie_set(action_marg: Categorical, tie_tolerance: float = 1e-9) -> tuple[int, ...]:
+def tie_set(action_marg: Categorical, tie_tolerance: float = TIE_TOLERANCE) -> tuple[int, ...]:
     """The actions within tie_tolerance of the most likely one, ascending.
 
     Actions with zero probability never tie: no viable policy takes them.
@@ -318,7 +320,7 @@ def break_tie(tied: Sequence[int], rng: np.random.Generator) -> int:
 def select_action(
     action_marg: Categorical,
     rng: np.random.Generator,
-    tie_tolerance: float = 1e-9,
+    tie_tolerance: float = TIE_TOLERANCE,
 ) -> int:
     """Most likely action; ties within tie_tolerance break uniformly at random.
 

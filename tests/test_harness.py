@@ -717,9 +717,9 @@ def _tables(draw):
         return header, draw(st.lists(cells(width), max_size=6))
     lead = draw(st.integers(0, width))
     sources = draw(st.lists(st.lists(cells(width - lead), max_size=3), min_size=1, max_size=4))
-    rows = _Rows()
+    rows = _Rows(lambda tails: tails)
     for pick in draw(st.lists(st.integers(0, len(sources) - 1), max_size=6)):
-        rows.add(draw(cells(lead)), sources[pick], lambda tails: tails)
+        rows.add(draw(cells(lead)), sources[pick])
     return header, rows
 
 
@@ -736,6 +736,30 @@ class TestCellRenderers:
     def test_json_matches_json_dumps(self, tables):
         config = {"agent": "efe", "seed": 0, "reward_prob": 0.98, "model_path": None}
         assert _json_text(config, tables) == helpers.records_json_by_dumps(config, tables)
+
+    def test_each_source_object_is_derived_once_per_write(self):
+        # value-equal but distinct sources: 0.0 and -0.0, 1 and 1.0 render apart
+        sources = [(value,) for value in (0.0, -0.0, 1, 1.0)]
+        derived = []
+
+        def derive(source):
+            derived.append(source)
+            return [source]
+
+        rows = _Rows(derive)
+        for lead in range(12):
+            rows.add([lead], sources[lead % 4])
+        header = ["lead", "value"]
+        plain = [[lead, *sources[lead % 4]] for lead in range(12)]
+        config = {"agent": "efe", "seed": 0}
+        for text, oracle in (
+            (lambda: _csv_text(header, rows), helpers.csv_table_by_old_rule(header, plain)),
+            (lambda: _json_text(config, {"t": (header, rows)}),
+             helpers.records_json_by_dumps(config, {"t": (header, plain)})),
+        ):
+            derived.clear()
+            assert text() == oracle
+            assert list(map(id, derived)) == list(map(id, sources))
 
 
 class TestEmitPlotData:
@@ -963,6 +987,20 @@ class TestParseCli:
 
 
 class TestBuildTables:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_horizon_one_record_is_refused_in_one_line(self, fmt, tmp_path):
+        model = load_spec(_save_horizon_one(tmp_path / "h1.json"))
+        env = ModelEnvironment(model, np.random.default_rng(0))
+        env.reset(0)
+        trial = run_trial(model, env, _config(), np.random.default_rng(1))
+        record = ExperimentRecord(config=_config(), trials=(trial,),
+                                  final_score=trial.cumulative_score, duration_seconds=0.0)
+        with pytest.raises(ValueError) as info:
+            write_records(record, tmp_path / fmt, fmt)
+        assert str(info.value) == (
+            "the policies table needs a planning epoch; a horizon-1 trial has none")
+        assert "\n" not in str(info.value)
+
     def test_breakdown_marks_unviable_policies(self, efe_record):
         tables = build_tables(efe_record)
         header, rows = tables["breakdown"]
