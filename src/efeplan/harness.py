@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -59,6 +60,15 @@ class ExperimentConfig:
     model_path: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "agent", ObjectiveKind(self.agent))
+        for name in ("trials", "seed", "precision", "tie_tolerance", "reward_prob"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool: {value!r}")
+            if name in ("trials", "seed"):
+                if not hasattr(value, "__index__"):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, operator.index(value))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -115,18 +125,22 @@ def _plan_epoch(
     config: ExperimentConfig,
     executed: tuple[int, ...],
     observations: tuple[int, ...],
-    rows: tuple[np.ndarray, ...],
-) -> tuple[dict, Categorical | None]:
-    """Everything the agent computes at one epoch from its history.
+    parent_rows: tuple[np.ndarray, ...],
+    trial: int,
+) -> tuple[dict[int | None, EpochRecord], tuple[np.ndarray, ...]]:
+    """The memo value (records, rows) of the (executed, observations) history.
 
-    rows are the history's filtered beliefs, one per epoch so far; every
-    viable policy shares them, so only the viable policies' predicted rows are
-    mixed, and the final epoch, with one viable policy, records rows as they
-    are. Returns the epoch's EpochRecord fields except the action, and the
-    action marginal to select from (None at the final epoch).
-    """
+    rows extend parent_rows, the filtered beliefs of the history one epoch
+    shorter, by a filter_step of the newest observation. Every viable policy
+    shares them, so only the viable policies' predictions are mixed, and the
+    final epoch records rows as they are. records maps each tied action,
+    ascending, to its EpochRecord (None at the final epoch); all share one set
+    of field tuples."""
     policies = model.policies
     epoch = len(observations)
+    pred = (model.transitions[executed[-1]] @ parent_rows[-1] if executed
+            else model.state_prior.probs)
+    rows = (*parent_rows, filter_step(model, pred, observations[-1], epoch, trial))
     ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
     viable = ctx.viable(policies)
 
@@ -156,7 +170,8 @@ def _plan_epoch(
         g_values=tuple(g.tolist()),
         breakdowns=tuple(breakdowns),
     )
-    return fields, marg
+    tied = (None,) if marg is None else tie_set(marg, config.tie_tolerance)
+    return {a: EpochRecord(action=a, **fields) for a in tied}, rows
 
 
 def run_trial(
@@ -172,11 +187,10 @@ def run_trial(
     """One full trial from the env's current state, which the record keeps.
 
     Every epoch is planned through a memo keyed by the (executed actions,
-    observations) history. An entry holds what a later visit needs: the
-    epoch's record for each action of the tie set (one record, with action
-    None, at the final epoch), the tie set, and the history's filtered
-    beliefs. A hit draws the tie-break, steps the env and appends the stored
-    record; a miss filters only the newest observation. A memo dict shared by
+    observations) history, whose value _plan_epoch makes: the history's
+    filtered beliefs and its records keyed by the tie set. A miss plans the
+    history; every visit draws the tie-break among the keys (none at the final
+    epoch), appends that record and steps the env. A memo dict shared by
     trials of one model and plan key plans each distinct history once. Without
     one, a fresh dict serves the trial; each epoch's history is one
     observation longer, so it never hits. Records are the same either way.
@@ -195,16 +209,10 @@ def run_trial(
         key = (tuple(executed), tuple(observations))
         entry = memo.get(key)
         if entry is None:
-            pred = (model.transitions[executed[-1]] @ rows[-1] if executed
-                    else model.state_prior.probs)
-            rows = (*rows, filter_step(model, pred, observations[-1], epoch, trial))
-            fields, marg = _plan_epoch(model, config, *key, rows)
-            tied = () if marg is None else tie_set(marg, config.tie_tolerance)
-            records = {a: EpochRecord(action=a, **fields) for a in tied or (None,)}
-            entry = memo[key] = (records, tied, rows)
-        records, tied, rows = entry
+            entry = memo[key] = _plan_epoch(model, config, *key, rows, trial)
+        records, rows = entry
 
-        action = break_tie(tied, rng) if tied else None
+        action = break_tie(tuple(records), rng) if epoch < model.horizon else None
         epoch_records.append(records[action])
         if action is not None:
             executed.append(action)
@@ -490,34 +498,32 @@ def _policy_table(record: ExperimentRecord) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def _write_csvs(out: Path, tables: dict[str, tuple[list[str], list[list]]]) -> list[Path]:
-    """Write each (header, rows) table to out/<name>.csv."""
-    written = []
-    for name, (header, rows) in tables.items():
-        path = out / f"{name}.csv"
-        path.write_text(_csv_text(header, rows))
-        written.append(path)
-    return written
+def _csv_texts(tables: dict[str, tuple[list[str], list[list]]]) -> dict[str, str]:
+    """Each (header, rows) table as the text of its file <name>.csv."""
+    return {f"{name}.csv": _csv_text(header, rows) for name, (header, rows) in tables.items()}
+
+
+def _write_files(output_dir, texts: dict[str, str]) -> list[Path]:
+    """Make output_dir, then write each file name's text in it. Every refusal
+    comes before this, so a refused record leaves no directory behind."""
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    return [out / name for name in texts]
 
 
 def write_records(record: ExperimentRecord, output_dir, fmt: str = "csv") -> list[Path]:
     """Emit the trials/beliefs/policies/breakdown tables plus a config echo."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tables = build_tables(record)
     echo = _config_echo(record.config, fmt)
     if fmt == "csv":
-        written = _write_csvs(out, tables)
-        config_path = out / "config.json"
-        config_path.write_text(json.dumps(echo, indent=2) + "\n")
-        written.append(config_path)
+        texts = {**_csv_texts(tables), "config.json": json.dumps(echo, indent=2) + "\n"}
     elif fmt == "json":
-        path = out / "records.json"
-        path.write_text(_json_text(echo, tables))
-        written = [path]
+        texts = {"records.json": _json_text(echo, tables)}
     else:
         raise ValueError(f"unknown output format: {fmt!r}")
-    return written
+    return _write_files(output_dir, texts)
 
 
 def _black_bands(contexts: list[int]) -> list[tuple[int, int]]:
@@ -531,8 +537,6 @@ def _black_bands(contexts: list[int]) -> list[tuple[int, int]]:
 
 def emit_plot_data(record: ExperimentRecord, output_dir) -> list[Path]:
     """Numeric tables for the first-trial belief matrices and the run series."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     first = record.trials[0]
     horizon = len(first.epochs)
     if not _maze_layout(first.epochs[0]):
@@ -548,7 +552,7 @@ def emit_plot_data(record: ExperimentRecord, output_dir) -> list[Path]:
     context_rows = [[about + 1, CONTEXT_LABELS[ctx], *[m[4 + ctx] for m in held]]
                     for about, held in enumerate(marginals) for ctx in range(2)]
     bands = _black_bands([tr.true_context for tr in record.trials])
-    return _write_csvs(out, {
+    return _write_files(output_dir, _csv_texts({
         "fig2_position_trial1": (["epoch", "location", *held_cols], position_rows),
         "fig2_context_trial1": (["epoch", "context", *held_cols], context_rows),
         "fig3_policies": _policy_table(record),
@@ -558,4 +562,4 @@ def emit_plot_data(record: ExperimentRecord, output_dir) -> list[Path]:
              for tr in record.trials],
         ),
         "fig3_context_bands": (["start", "end"], [list(band) for band in bands]),
-    })
+    }))

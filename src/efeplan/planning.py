@@ -187,8 +187,10 @@ def score_policies(
     the scorer walks the tree of remaining-action prefixes and predicts and
     scores each distinct prefix once. Every component is populated regardless
     of objective; risk is NaN when the model has no risk_state_prior, and the
-    eu-states and klc objectives, which score against it, are refused.
+    eu-states and klc objectives, which score against it, are refused. An
+    objective's name, such as "efe", is taken as its member.
     """
+    objective = ObjectiveKind(objective)
     t = plan_ctx.current_epoch
     if t >= model.horizon:
         raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")

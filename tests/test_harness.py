@@ -47,6 +47,7 @@ from efeplan.planning import (
     evidence_bound_diagnostic,
     score_policies,
     select_action,
+    tie_set,
 )
 from efeplan.tmaze import (
     BLACK,
@@ -76,6 +77,12 @@ def _save_maze(path, **changes) -> str:
     fields = {name: getattr(maze, name) for name in maze.__dataclass_fields__}
     save_spec(GenerativeModel(**{**fields, **changes}), path)
     return str(path)
+
+
+def _save_maze_with_risk_prior(path) -> str:
+    """The maze's spec with a uniform risk_state_prior, which the eu-states and
+    klc objectives score against."""
+    return _save_maze(path, risk_state_prior=Categorical(np.full(8, 0.125)))
 
 
 def _save_contradicting_maze(path) -> None:
@@ -264,12 +271,7 @@ class TestRunExperiment:
             run_experiment(_config(agent=ObjectiveKind.EXPECTED_UTILITY_STATES, trials=1))
 
     def test_state_objectives_run_with_model_supplied_prior(self, tmp_path):
-        model = build_tmaze_model()
-        path = tmp_path / "maze.json"
-        save_spec(model, path)
-        doc = json.loads(path.read_text())
-        doc["risk_state_prior"] = [0.125] * 8
-        path.write_text(json.dumps(doc))
+        path = _save_maze_with_risk_prior(tmp_path / "maze.json")
         for agent in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY):
             record = run_experiment(_config(agent=agent, trials=2, model_path=str(path)))
             assert len(record.trials) == 2
@@ -279,6 +281,40 @@ class TestRunExperiment:
         rows = evidence_bound_diagnostic(loaded, loaded.state_prior, loaded.policies[0],
                                          PlanContext(current_epoch=1), loaded.risk_state_prior)
         assert all(math.isfinite(bound) for _, _, bound in rows)
+
+    def test_an_agent_name_plans_as_its_member(self, tmp_path):
+        # on a spec with a risk prior, a name kept as a string planned as klc
+        path = _save_maze_with_risk_prior(tmp_path / "maze.json")
+        by_name, by_member = (run_experiment(_config(agent=agent, trials=20, model_path=path))
+                              for agent in ("efe", ObjectiveKind.EXPECTED_FREE_ENERGY))
+        assert by_name.config.agent is ObjectiveKind.EXPECTED_FREE_ENERGY
+        assert _float_hex(by_name.trials) == _float_hex(by_member.trials)
+        for fmt in ("csv", "json"):
+            assert write_records(by_name, tmp_path / fmt, fmt)
+        assert json.loads((tmp_path / "csv" / "config.json").read_text())["agent"] == "efe"
+
+    def test_an_unknown_agent_is_refused_in_one_line(self):
+        with pytest.raises(ValueError, match="'nope'") as info:
+            _config(agent="nope")
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("field, value, stored", [
+        ("trials", True, None), ("seed", False, None), ("precision", True, None),
+        ("tie_tolerance", np.True_, None), ("reward_prob", True, None),
+        ("trials", 2.5, None), ("seed", 1.5, None), ("trials", "3", None),
+        ("trials", np.int64(2), 2), ("seed", np.uint8(7), 7),
+    ])
+    def test_integer_fields_hold_ints_and_no_field_takes_a_bool(self, field, value, stored,
+                                                                 tmp_path):
+        if stored is None:
+            with pytest.raises(ValueError, match=field) as info:
+                _config(**{field: value})
+            assert "\n" not in str(info.value)
+            return
+        config = _config(**{field: value})
+        assert type(getattr(config, field)) is int and getattr(config, field) == stored
+        write_records(run_experiment(config), tmp_path)
+        assert json.loads((tmp_path / "config.json").read_text())[field] == stored
 
     def test_agent_ordering_on_default_seed(self, efe_record):
         eig = run_experiment(_config(agent=ObjectiveKind.INFO_GAIN_ONLY))
@@ -454,7 +490,9 @@ class TestHistoryMemo:
         # a miss extends its parent history's rows by one filter step; the rows
         # must be the whole-history filter of every policy the history allows,
         # and each record's beliefs those rows, then the viable policies'
-        # predictions mixed by its posterior
+        # predictions mixed by its posterior. The records are keyed by the tie
+        # set of their action marginal and share their tuples, which the
+        # tables' id-keyed render cache relies on.
         rng = np.random.default_rng(seed)
         model = helpers.random_model(
             rng, max_states=4, max_outcomes=3, max_actions=3, min_horizon=2, max_horizon=4,
@@ -466,9 +504,20 @@ class TestHistoryMemo:
                 run_trial(model, _env_from_prior(model, np.random.default_rng([seed, trial])),
                           _config(agent=agent), np.random.default_rng([seed, trial, 1]),
                           trial=trial, memo=memo)
-            for (executed, observations), (records, _, rows) in memo.items():
+            for (executed, observations), (records, rows) in memo.items():
                 epoch = len(observations)
                 assert len(rows) == epoch
+                first = next(iter(records.values()))
+                if epoch < model.horizon:
+                    marginal = Categorical(np.array(first.action_marginal))
+                    assert tuple(records) == tie_set(marginal, ExperimentConfig.tie_tolerance)
+                else:
+                    assert tuple(records) == (None,)
+                for action, record in records.items():
+                    assert record.action == action
+                    assert record.breakdowns is first.breakdowns
+                    assert record.bma_states is first.bma_states
+                    assert record.policy_posterior is first.policy_posterior
                 observed = tuple(enumerate(observations, start=1))
                 allowed = [p for p in model.policies if p.actions[: epoch - 1] == executed]
                 assert allowed
@@ -1000,6 +1049,13 @@ class TestBuildTables:
         assert str(info.value) == (
             "the policies table needs a planning epoch; a horizon-1 trial has none")
         assert "\n" not in str(info.value)
+        assert not (tmp_path / fmt).exists()
+
+    def test_an_unknown_format_is_refused_before_the_directory_is_made(self, efe_record,
+                                                                       tmp_path):
+        with pytest.raises(ValueError, match="unknown output format: 'xml'"):
+            write_records(efe_record, tmp_path / "out", "xml")
+        assert not (tmp_path / "out").exists()
 
     def test_breakdown_marks_unviable_policies(self, efe_record):
         tables = build_tables(efe_record)
@@ -1048,3 +1104,4 @@ class TestBuildTables:
             with pytest.raises(ValueError, match="maze layout") as info:
                 emit_plot_data(record, out / "plots")
             assert "\n" not in str(info.value)
+            assert not (out / "plots").exists()

@@ -360,6 +360,25 @@ class TestScorePolicies:
                 for q_s in scored.states
             ]
 
+    @pytest.mark.parametrize("name", [kind.value for kind in ObjectiveKind])
+    def test_an_objective_name_scores_as_its_member(self, name):
+        # a name is taken as its member, never as the last branch's objective
+        model = helpers.random_model(np.random.default_rng(5), min_horizon=3, risk_prior=True)
+        ctx = PlanContext(current_epoch=1)
+        by_name, by_member = (score_policies(model, model.state_prior, model.policies, ctx, kind)
+                              for kind in (name, ObjectiveKind(name)))
+        assert [repr(s.summed) for s in by_name] == [repr(s.summed) for s in by_member]
+        policy = model.policies[0]
+        assert repr(expected_free_energy(model, model.state_prior, policy, ctx, name)) == repr(
+            expected_free_energy(model, model.state_prior, policy, ctx, ObjectiveKind(name)))
+
+    def test_an_unknown_objective_is_refused_in_one_line(self):
+        model = build_tmaze_model()
+        with pytest.raises(ValueError, match="'nope'") as info:
+            score_policies(model, model.state_prior, model.policies,
+                           PlanContext(current_epoch=1), "nope")
+        assert "\n" not in str(info.value)
+
 
 def _assert_summed_is_the_sum_of_breakdowns(scores) -> None:
     """Each summed field, as hex, is sum() of that field over the breakdowns: NaN
