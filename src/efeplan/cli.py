@@ -90,7 +90,7 @@ def parse_cli(argv) -> argparse.Namespace:
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     try:
         return ExperimentConfig(
-            agent=ObjectiveKind(args.agent),
+            agent=args.agent,
             trials=getattr(args, "trials", ExperimentConfig.trials),
             seed=args.seed,
             precision=args.precision,
@@ -182,8 +182,7 @@ def _cmd_decompose(args) -> int:
     viable = [model.policies[i] for i in ctx.viable(model.policies)]
     if not viable:
         raise UsageError(f"no policy starts with the executed actions {executed}")
-    agent = ObjectiveKind(args.agent)
-    scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, agent)))
+    scores = dict(zip(viable, score_policies(model, q_now, viable, ctx, args.agent)))
     sums = [scores[p].summed if p in scores else None for p in model.policies]
     print("\n".join(_breakdown_lines(model, sums)))
     return 0

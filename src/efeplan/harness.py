@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -69,13 +70,24 @@ class ExperimentConfig:
                 if not hasattr(value, "__index__"):
                     raise ValueError(f"{name} must be an integer, got {value!r}")
                 object.__setattr__(self, name, operator.index(value))
+            elif not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
+        if self.model_path is not None:
+            try:
+                object.__setattr__(self, "model_path", os.fsdecode(self.model_path))
+            except TypeError:
+                raise ValueError(f"model_path must be a path, got {self.model_path!r}") from None
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("precision", "tie_tolerance"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past the largest float
+                finite = False
+            if not (finite and value >= 0.0):
                 raise ValueError(f"{name} must be a nonnegative real, got {value!r}")
         if not 0.0 <= self.reward_prob <= 1.0:
             raise ValueError(f"reward_prob must lie in [0, 1], got {self.reward_prob!r}")
@@ -125,22 +137,22 @@ def _plan_epoch(
     config: ExperimentConfig,
     executed: tuple[int, ...],
     observations: tuple[int, ...],
-    parent_rows: tuple[np.ndarray, ...],
+    parent: EpochRecord | None,
     trial: int,
-) -> tuple[dict[int | None, EpochRecord], tuple[np.ndarray, ...]]:
-    """The memo value (records, rows) of the (executed, observations) history.
+) -> dict[int | None, EpochRecord]:
+    """The memo value of the (executed, observations) history: its records.
 
-    rows extend parent_rows, the filtered beliefs of the history one epoch
-    shorter, by a filter_step of the newest observation. Every viable policy
-    shares them, so only the viable policies' predictions are mixed, and the
-    final epoch records rows as they are. records maps each tied action,
-    ascending, to its EpochRecord (None at the final epoch); all share one set
-    of field tuples."""
+    parent is a record of the history one epoch shorter (None at epoch 1). Its
+    first epoch - 1 bma_states rows, the past filtered beliefs, are shared; a
+    filter_step of the newest observation adds the present row. Every viable
+    policy shares these rows, so only the viable policies' predictions are
+    mixed. The records map each tied action, ascending, to its EpochRecord
+    (None at the final epoch); all share one set of field tuples."""
     policies = model.policies
     epoch = len(observations)
-    pred = (model.transitions[executed[-1]] @ parent_rows[-1] if executed
-            else model.state_prior.probs)
-    rows = (*parent_rows, filter_step(model, pred, observations[-1], epoch, trial))
+    past = parent.bma_states[: epoch - 1] if parent else ()
+    pred = model.transitions[executed[-1]] @ past[-1] if past else model.state_prior.probs
+    now = filter_step(model, pred, observations[-1], epoch, trial)
     ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
     viable = ctx.viable(policies)
 
@@ -149,7 +161,7 @@ def _plan_epoch(
     predicted: list[np.ndarray | None] = [None] * len(policies)
     planning = epoch < model.horizon
     if planning:
-        scores = score_policies(model, Categorical(rows[-1]), [policies[i] for i in viable],
+        scores = score_policies(model, Categorical(now), [policies[i] for i in viable],
                                 ctx, config.agent)
         for i, scored in zip(viable, scores):
             g[i] = scored.total
@@ -160,18 +172,18 @@ def _plan_epoch(
 
     post = policy_posterior(g, policies, ctx, config.precision)
     marg = action_marginal(post, policies, epoch, model.num_actions) if planning else None
-    bma = np.vstack((*rows, bma_beliefs(post, predicted))) if planning else np.array(rows)
+    mixed = bma_beliefs(post, predicted).tolist() if planning else []
     fields = dict(
         epoch=epoch,
         observation=observations[-1],
         action_marginal=None if marg is None else tuple(marg.probs.tolist()),
         policy_posterior=tuple(post.probs.tolist()),
-        bma_states=tuple(tuple(row) for row in bma.tolist()),
+        bma_states=(*past, tuple(now.tolist()), *map(tuple, mixed)),
         g_values=tuple(g.tolist()),
         breakdowns=tuple(breakdowns),
     )
     tied = (None,) if marg is None else tie_set(marg, config.tie_tolerance)
-    return {a: EpochRecord(action=a, **fields) for a in tied}, rows
+    return {a: EpochRecord(action=a, **fields) for a in tied}
 
 
 def run_trial(
@@ -187,14 +199,12 @@ def run_trial(
     """One full trial from the env's current state, which the record keeps.
 
     Every epoch is planned through a memo keyed by the (executed actions,
-    observations) history, whose value _plan_epoch makes: the history's
-    filtered beliefs and its records keyed by the tie set. A miss plans the
-    history; every visit draws the tie-break among the keys (none at the final
-    epoch), appends that record and steps the env. A memo dict shared by
-    trials of one model and plan key plans each distinct history once. Without
-    one, a fresh dict serves the trial; each epoch's history is one
-    observation longer, so it never hits. Records are the same either way.
-    """
+    observations) history, whose value _plan_epoch makes: its records keyed by
+    the tie set. A miss plans the history from the record appended last; every
+    visit draws the tie-break among the keys (none at the final epoch), appends
+    that record and steps the env. A memo dict shared by trials of one model
+    and plan key plans each distinct history once. Without one, a fresh dict
+    serves the trial and never hits. Records are the same either way."""
     if model.num_outcomes > len(OUTCOME_SCORES):
         raise ValueError(f"run_trial scores outcomes with the maze's {len(OUTCOME_SCORES)} "
                          f"outcome scores; the model has {model.num_outcomes} outcomes")
@@ -203,14 +213,13 @@ def run_trial(
     observations = [env.observe()]
     executed: list[int] = []
     epoch_records: list[EpochRecord] = []
-    rows: tuple[np.ndarray, ...] = ()  # the history's filtered beliefs, one per epoch
 
     for epoch in range(1, model.horizon + 1):
         key = (tuple(executed), tuple(observations))
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = _plan_epoch(model, config, *key, rows, trial)
-        records, rows = entry
+        records = memo.get(key)
+        if records is None:
+            parent = epoch_records[-1] if epoch_records else None
+            records = memo[key] = _plan_epoch(model, config, *key, parent, trial)
 
         action = break_tie(tuple(records), rng) if epoch < model.horizon else None
         epoch_records.append(records[action])

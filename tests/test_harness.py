@@ -3,6 +3,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +306,7 @@ class TestRunExperiment:
         ("tie_tolerance", np.True_, None), ("reward_prob", True, None),
         ("trials", 2.5, None), ("seed", 1.5, None), ("trials", "3", None),
         ("trials", np.int64(2), 2), ("seed", np.uint8(7), 7),
+        ("reward_prob", 1, 1),  # a real field keeps the number it was given
     ])
     def test_integer_fields_hold_ints_and_no_field_takes_a_bool(self, field, value, stored,
                                                                  tmp_path):
@@ -315,6 +319,31 @@ class TestRunExperiment:
         assert type(getattr(config, field)) is int and getattr(config, field) == stored
         write_records(run_experiment(config), tmp_path)
         assert json.loads((tmp_path / "config.json").read_text())[field] == stored
+
+    @pytest.mark.parametrize("field, value", [
+        ("precision", "1"), ("tie_tolerance", None), ("reward_prob", None),
+        ("reward_prob", "0.5"), pytest.param("precision", 10**400, id="precision-10**400"),
+        pytest.param("tie_tolerance", -(10**400), id="tie_tolerance--10**400"),
+        ("precision", Fraction(1, 2)), ("reward_prob", Decimal("0.5")),
+        ("model_path", 3), ("model_path", ["maze.json"]),
+    ])
+    def test_a_field_of_the_wrong_kind_is_refused_in_one_line(self, field, value):
+        with pytest.raises(ValueError, match=field) as info:
+            _config(**{field: value})
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("as_path", [Path, os.fsencode])
+    def test_any_model_path_is_stored_as_its_str(self, as_path, tmp_path):
+        spec = _save_maze(tmp_path / "maze.json")
+        for fmt in ("csv", "json"):
+            written = {}
+            for name, model_path in (("str", spec), ("path", as_path(spec))):
+                config = _config(trials=2, model_path=model_path)
+                assert config.model_path == spec
+                out = tmp_path / fmt / name
+                write_records(run_experiment(config), out, fmt)
+                written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert written["path"] == written["str"], fmt
 
     def test_agent_ordering_on_default_seed(self, efe_record):
         eig = run_experiment(_config(agent=ObjectiveKind.INFO_GAIN_ONLY))
@@ -370,6 +399,23 @@ def _planned_epochs(monkeypatch) -> list:
     monkeypatch.setattr(harness, "_plan_epoch",
                         lambda *args: planned.append(args) or plan_epoch(*args))
     return planned
+
+
+def _memo_corpus(seed: int, deterministic: bool) -> tuple[GenerativeModel, dict]:
+    """A random model and, per objective, the memo that six trials of it fill."""
+    rng = np.random.default_rng(seed)
+    model = helpers.random_model(
+        rng, max_states=4, max_outcomes=3, max_actions=3, min_horizon=2, max_horizon=4,
+        deterministic_likelihood=deterministic, all_policies=True, risk_prior=True,
+    )
+    memos: dict = {}
+    for agent in ObjectiveKind:
+        memo = memos[agent] = {}
+        for trial in range(1, 7):
+            run_trial(model, _env_from_prior(model, np.random.default_rng([seed, trial])),
+                      _config(agent=agent), np.random.default_rng([seed, trial, 1]),
+                      trial=trial, memo=memo)
+    return model, memos
 
 
 class TestHistoryMemo:
@@ -487,27 +533,18 @@ class TestHistoryMemo:
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
     def test_memo_carries_each_historys_filtered_rows(self, seed, deterministic):
-        # a miss extends its parent history's rows by one filter step; the rows
-        # must be the whole-history filter of every policy the history allows,
-        # and each record's beliefs those rows, then the viable policies'
-        # predictions mixed by its posterior. The records are keyed by the tie
-        # set of their action marginal and share their tuples, which the
-        # tables' id-keyed render cache relies on.
-        rng = np.random.default_rng(seed)
-        model = helpers.random_model(
-            rng, max_states=4, max_outcomes=3, max_actions=3, min_horizon=2, max_horizon=4,
-            deterministic_likelihood=deterministic, all_policies=True, risk_prior=True,
-        )
-        for agent in ObjectiveKind:
-            memo: dict = {}
-            for trial in range(1, 7):
-                run_trial(model, _env_from_prior(model, np.random.default_rng([seed, trial])),
-                          _config(agent=agent), np.random.default_rng([seed, trial, 1]),
-                          trial=trial, memo=memo)
-            for (executed, observations), (records, rows) in memo.items():
+        # a history's records are its memo value, and their first rows are its
+        # filtered beliefs: the whole-history filter of every policy the history
+        # allows, then the viable policies' predictions mixed by the posterior.
+        # The records are keyed by the tie set of their action marginal and
+        # share their tuples, which the tables' id-keyed render cache relies on.
+        model, memos = _memo_corpus(seed, deterministic)
+        for agent, memo in memos.items():
+            for (executed, observations), records in memo.items():
                 epoch = len(observations)
-                assert len(rows) == epoch
                 first = next(iter(records.values()))
+                assert len(first.bma_states) == model.horizon
+                rows = np.array(first.bma_states[:epoch])
                 if epoch < model.horizon:
                     marginal = Categorical(np.array(first.action_marginal))
                     assert tuple(records) == tie_set(marginal, ExperimentConfig.tie_tolerance)
@@ -525,20 +562,33 @@ class TestHistoryMemo:
                     want = infer_states(model, policy, observed).states[:epoch]
                     assert all(np.array_equal(row, q.probs) for row, q in zip(rows, want)), (
                         agent, executed, observations, policy)
-                predicted = [None] * len(model.policies)
                 if epoch < model.horizon:
+                    predicted = [None] * len(model.policies)
                     ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
                     viable = ctx.viable(model.policies)
                     scores = score_policies(model, Categorical(rows[-1]),
                                             [model.policies[i] for i in viable], ctx, agent)
                     for i, scored in zip(viable, scores):
                         predicted[i] = scored.states
+                    post = Categorical(np.array(first.policy_posterior))
+                    assert np.array_equal(first.bma_states[epoch:],
+                                          bma_beliefs(post, predicted)), (agent, executed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), deterministic=st.booleans())
+    def test_each_history_shares_its_parents_belief_rows(self, seed, deterministic):
+        # a miss reads its past filtered rows from a record of the history one
+        # epoch shorter and keeps those very tuples, so each row is held once
+        _, memos = _memo_corpus(seed, deterministic)
+        for memo in memos.values():
+            for (executed, observations), records in memo.items():
+                epoch = len(observations)
+                if epoch == 1:
+                    continue
+                parent = next(iter(memo[executed[:-1], observations[:-1]].values()))
                 for record in records.values():
-                    assert np.array_equal(record.bma_states[:epoch], rows), (agent, executed)
-                    if epoch < model.horizon:
-                        post = Categorical(np.array(record.policy_posterior))
-                        assert np.array_equal(record.bma_states[epoch:],
-                                              bma_beliefs(post, predicted)), (agent, executed)
+                    past = record.bma_states[: epoch - 1]
+                    assert all(row is kept for row, kept in zip(past, parent.bma_states))
 
 
 class TestWriteRecords:
