@@ -29,10 +29,10 @@ from .planning import (
     EfeBreakdown,
     ObjectiveKind,
     PlanContext,
+    _score_tree,
     action_marginal,
     break_tie,
     policy_posterior,
-    score_policies,
     tie_set,
 )
 from .tmaze import (
@@ -161,12 +161,13 @@ def _plan_epoch(
     predicted: list[np.ndarray | None] = [None] * len(policies)
     planning = epoch < model.horizon
     if planning:
-        scores = score_policies(model, Categorical(now), [policies[i] for i in viable],
-                                ctx, config.agent)
-        for i, scored in zip(viable, scores):
-            g[i] = scored.total
-            breakdowns[i] = scored.summed
-            predicted[i] = scored.states
+        summed, paths, _, states = _score_tree(model, Categorical(now),
+                                               policies.actions[viable, epoch - 1:], epoch,
+                                               config.agent)
+        g[viable] = summed[:, -1]
+        for i, sums, table in zip(viable, summed.tolist(), states[paths]):
+            breakdowns[i] = EfeBreakdown(*sums)
+            predicted[i] = table
     else:
         g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
 

@@ -10,6 +10,7 @@ preserved verbatim.
 from __future__ import annotations
 
 import bisect
+import functools
 import json
 import math
 import operator
@@ -47,6 +48,18 @@ class PolicySet:
             raise ValueError("policy set must be nonempty")
         if len({p.actions for p in self.policies}) != len(self.policies):
             raise ValueError("policy set contains duplicates")
+
+    @functools.cached_property
+    def actions(self) -> np.ndarray:
+        """The actions as a read-only (policy x step) int array, in policy order.
+
+        Policies of unequal length, which validate reports, have no such array."""
+        lengths = {len(p.actions) for p in self.policies}
+        if len(lengths) != 1:
+            raise ValueError(f"policies differ in length: {sorted(lengths)}")
+        actions = np.array([p.actions for p in self.policies], dtype=np.intp)
+        actions.flags.writeable = False
+        return actions
 
     def __len__(self) -> int:
         return len(self.policies)
@@ -153,7 +166,11 @@ def validate(model: GenerativeModel) -> list[str]:
             # entry; NORM_TOL covers rounding in the predicted outcome distributions
             worst = int(log_preferences.argmin())
             lowest = float(log_preferences[worst])
-            if not math.isfinite((model.horizon - 1) * lowest * (1.0 + NORM_TOL)):
+            try:
+                bound = (model.horizon - 1) * lowest * (1.0 + NORM_TOL)
+            except OverflowError:  # a horizon past the largest float
+                bound = math.inf
+            if not math.isfinite(bound):
                 v.append(f"normalised log-preferences entry [{worst}] is {lowest!r}, which "
                          f"overflows G summed over {model.horizon - 1} future epochs")
     if len(model.state_prior) != model.num_states:

@@ -99,12 +99,6 @@ def softmax(logits, precision: float = 1.0) -> Categorical:
     return Categorical(e / e.sum())
 
 
-def _entropy(p: np.ndarray) -> float:
-    """-sum(p * log p) over the entries of p with mass."""
-    mask = p > 0.0
-    return float(-(p[mask] * np.log(p[mask])).sum())
-
-
 def _kl(p: np.ndarray, log_q: np.ndarray) -> float:
     """sum(p * (log p - log_q)) over the entries of p with mass."""
     mask = p > 0.0
@@ -113,7 +107,8 @@ def _kl(p: np.ndarray, log_q: np.ndarray) -> float:
 
 def entropy(p: Categorical) -> float:
     """-sum(p * log p) in nats, with 0*log(0) := 0. Lies in [0, log n]."""
-    return _entropy(p.probs)
+    mass = p.probs[p.probs > 0.0]
+    return float(-(mass * np.log(mass)).sum())
 
 
 def kl_divergence(p: Categorical, q: Categorical) -> float:

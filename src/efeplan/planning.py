@@ -15,14 +15,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
 
 import numpy as np
 
 from .model import GenerativeModel, Policy, PolicySet
 from .numerics import (
     Categorical,
-    _entropy,
     _kl,
     clamped_log,
     entropy,
@@ -78,10 +76,13 @@ class PlanContext:
                 f"{self.current_epoch}, got {len(self.executed_actions)}"
             )
 
-    def viable(self, policies: Sequence[Policy]) -> list[int]:
+    def viable(self, policies: PolicySet) -> list[int]:
         """Indices of the policies whose action prefix matches the executed actions."""
         executed = self.executed_actions
-        return [i for i, pol in enumerate(policies) if pol.actions[: len(executed)] == executed]
+        actions = policies.actions
+        if actions.shape[1] < len(executed):
+            return []
+        return (actions[:, : len(executed)] == executed).all(axis=1).nonzero()[0].tolist()
 
 
 def _check_states(name: str, belief: Categorical, model: GenerativeModel) -> None:
@@ -174,6 +175,110 @@ class PolicyScore:
         return self.summed.total
 
 
+def _row_sums(terms, p: np.ndarray) -> np.ndarray:
+    """terms(entries, columns).sum() for each row of p over the row's entries with
+    mass, equal to the 1-d sum of the masked row to the bit.
+
+    With no zero in p every row is reduced at once. Otherwise a zero kept in
+    place would move the other entries between numpy's pairwise blocks of
+    eight, so each row's entries with mass are laid out on their own, rows with
+    the same count of them together, and each such block is reduced at once.
+    """
+    mass = p > 0.0
+    if mass.all():
+        return terms(p, slice(None)).sum(axis=1)
+    counts = mass.sum(axis=1)
+    by_count = np.argsort(counts, kind="stable")
+    kept = mass[by_count]
+    values = terms(p[by_count][kept], np.nonzero(kept)[1])  # row after row
+    sums = np.empty(len(p))
+    row = start = 0
+    for k, rows in enumerate(np.bincount(counts).tolist()):
+        if rows:
+            block = values[start:start + rows * k].reshape(rows, k)
+            sums[by_count[row:row + rows]] = block.sum(axis=1)
+            row, start = row + rows, start + rows * k
+    return sums
+
+
+def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """row @ v for each row, as stacked products equal to the 1-d ones."""
+    return np.matmul(rows[:, None, :], v[:, None])[:, 0, 0]
+
+
+def _score_tree(
+    model: GenerativeModel,
+    q_now: Categorical,
+    actions: np.ndarray,
+    epoch: int,
+    objective: ObjectiveKind,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Predict and score the tree of remaining-action prefixes as arrays.
+
+    actions[i] holds policy i's actions after epoch. Each level of the tree is
+    predicted at once, one stacked product per action, from its parents'
+    unnormalised rollouts; then every node of every level is scored in one
+    batch with the public term functions' arithmetic, to the bit. Returns
+    (summed, paths, parts, states): policy i's terms summed over its steps, in
+    EfeBreakdown's field order; the node of its step k at paths[i, k]; and a
+    node's terms and normalised prediction at parts[j] and states[j].
+    """
+    objective = ObjectiveKind(objective)
+    if epoch >= model.horizon:
+        raise ValueError(f"no future timesteps to plan at epoch {epoch} of {model.horizon}")
+    _check_states("q_now", q_now, model)
+    prior = model.risk_state_prior
+    if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and prior is None:
+        raise ConfigurationError(
+            f"objective {objective.value} needs a model that defines risk_state_prior"
+        )
+
+    raw = q_now.probs[None]  # one unnormalised rollout per node of the level
+    node = np.zeros(len(actions), dtype=np.intp)  # each policy's node in the level
+    levels, paths = [], np.empty(actions.shape, dtype=np.intp)
+    offset = 0
+    for k, column in enumerate(actions.T):
+        # a node is an (action, parent) pair that some policy takes, numbered in that order
+        taken = np.zeros((model.num_actions, len(raw)), dtype=bool)
+        taken[column, node] = True
+        node = np.cumsum(taken).reshape(taken.shape)[column, node] - 1
+        raw = np.concatenate([
+            np.matmul(model.transitions[a][None], raw[taken[a], :, None])[..., 0]
+            for a in taken.any(axis=1).nonzero()[0].tolist()
+        ])
+        levels.append(raw)
+        paths[:, k] = offset + node
+        offset += len(raw)
+
+    raw = np.concatenate(levels)
+    states = raw / raw.sum(axis=1, keepdims=True)
+    q_o = np.matmul(model.likelihood[None], states[:, :, None])[..., 0]
+    p_o = q_o / q_o.sum(axis=1, keepdims=True)
+    ambig = _dots(states, _column_entropies(model.likelihood))
+    intrinsic = -_row_sums(lambda p, _: p * np.log(p), p_o) - ambig
+    extrinsic = _dots(p_o, model.preferences - log_sum_exp(model.preferences))
+    log_prior = None if prior is None else clamped_log(prior.probs)
+    risk = (np.full(len(states), math.nan) if prior is None else
+            _row_sums(lambda q, columns: q * (np.log(q) - log_prior[columns]), states))
+    if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
+        total = -intrinsic - extrinsic
+    elif objective is ObjectiveKind.INFO_GAIN_ONLY:
+        total = -intrinsic
+    elif objective is ObjectiveKind.EXPECTED_UTILITY_OUTCOMES:
+        total = -extrinsic
+    elif objective is ObjectiveKind.EXPECTED_UTILITY_STATES:
+        total = -_dots(states, log_prior)
+    else:  # RISK_ONLY
+        total = risk
+    parts = np.array([risk, ambig, intrinsic, extrinsic, total]).T
+
+    # running sums from +0.0, which sums as sum()'s int 0 does: -0.0 parts give 0.0
+    summed = np.zeros((len(actions), parts.shape[1]))
+    for path in paths.T:
+        summed = summed + parts[path]
+    return summed, paths, parts, states
+
+
 def score_policies(
     model: GenerativeModel,
     q_now: Categorical,
@@ -184,66 +289,20 @@ def score_policies(
     """Score each policy over the remaining horizon, one PolicyScore per policy.
 
     Policies that share actions after the current epoch share predictions:
-    the scorer walks the tree of remaining-action prefixes and predicts and
-    scores each distinct prefix once. Every component is populated regardless
-    of objective; risk is NaN when the model has no risk_state_prior, and the
-    eu-states and klc objectives, which score against it, are refused. An
-    objective's name, such as "efe", is taken as its member.
+    the scorer predicts and scores each distinct remaining-action prefix once
+    (_score_tree). Every component is populated regardless of objective; risk
+    is NaN when the model has no risk_state_prior, and the eu-states and klc
+    objectives, which score against it, are refused. An objective's name, such
+    as "efe", is taken as its member.
     """
-    objective = ObjectiveKind(objective)
     t = plan_ctx.current_epoch
-    if t >= model.horizon:
-        raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
-    _check_states("q_now", q_now, model)
-    prior = model.risk_state_prior
-    if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and prior is None:
-        raise ConfigurationError(
-            f"objective {objective.value} needs a model that defines risk_state_prior"
-        )
-
-    likelihood = model.likelihood
-    column_entropies = _column_entropies(likelihood)
-    log_preferences = model.preferences - log_sum_exp(model.preferences)
-    log_prior = None if prior is None else clamped_log(prior.probs)
-
-    def score(q: np.ndarray) -> EfeBreakdown:
-        """The public term functions' arithmetic on one predicted state belief."""
-        q_o = likelihood @ q
-        p_o = q_o / q_o.sum()
-        ambig = float(q @ column_entropies)
-        intrinsic = _entropy(p_o) - ambig
-        extrinsic = float(p_o @ log_preferences)
-        risk = math.nan if log_prior is None else _kl(q, log_prior)
-        if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
-            total = -intrinsic - extrinsic
-        elif objective is ObjectiveKind.INFO_GAIN_ONLY:
-            total = -intrinsic
-        elif objective is ObjectiveKind.EXPECTED_UTILITY_OUTCOMES:
-            total = -extrinsic
-        elif objective is ObjectiveKind.EXPECTED_UTILITY_STATES:
-            total = -float(q @ log_prior)
-        else:  # RISK_ONLY
-            total = risk
-        return EfeBreakdown(risk_states=risk, ambiguity=ambig, intrinsic=intrinsic,
-                            extrinsic=extrinsic, total=total)
-
-    # remaining-action prefix -> (unnormalised rollout, predictions, breakdowns,
-    # running sum of each EfeBreakdown field). The sums start at int 0, as sum()
-    # does, so a -0.0 part adds up to 0.0.
-    nodes: dict[tuple[int, ...], tuple] = {(): (q_now.probs, (), (), (0, 0, 0, 0, 0))}
-
-    def node(prefix: tuple[int, ...]) -> tuple:
-        if prefix not in nodes:
-            raw, preds, parts, sums = node(prefix[:-1])
-            raw = model.transitions[prefix[-1]] @ raw
-            q_s = raw / raw.sum()
-            part = score(q_s)
-            nodes[prefix] = (raw, (*preds, q_s), (*parts, part),
-                             tuple(map(add, sums, vars(part).values())))
-        return nodes[prefix]
-
-    return [PolicyScore(summed=EfeBreakdown(*sums), breakdowns=parts, states=np.array(preds))
-            for _, preds, parts, sums in (node(p.actions[t - 1:]) for p in policies)]
+    actions = np.array([p.actions[t - 1:] for p in policies], dtype=np.intp)
+    summed, paths, parts, states = _score_tree(
+        model, q_now, actions.reshape(len(policies), max(model.horizon - t, 0)), t, objective)
+    breakdowns = [EfeBreakdown(*row) for row in parts.tolist()]
+    return [PolicyScore(summed=EfeBreakdown(*sums),
+                        breakdowns=tuple(breakdowns[j] for j in path), states=states[path])
+            for sums, path in zip(summed.tolist(), paths.tolist())]
 
 
 def expected_free_energy(
@@ -296,12 +355,11 @@ def action_marginal(
     """Marginal probability of each action at the given epoch under the posterior."""
     if not policies or len(policy_post) != len(policies):
         raise ValueError("policy posterior and policy set sizes differ")
-    horizon_steps = len(policies[0].actions)
-    if not 1 <= epoch <= horizon_steps:
-        raise ValueError(f"epoch {epoch} outside 1..{horizon_steps}")
-    marginal = np.zeros(num_actions)
-    for prob, pol in zip(policy_post.probs, policies):
-        marginal[pol.actions[epoch - 1]] += prob
+    actions = policies.actions
+    if not 1 <= epoch <= actions.shape[1]:
+        raise ValueError(f"epoch {epoch} outside 1..{actions.shape[1]}")
+    # adds each policy's probability in policy order, from 0.0
+    marginal = np.bincount(actions[:, epoch - 1], policy_post.probs, minlength=num_actions)
     return Categorical(marginal / marginal.sum())
 
 

@@ -8,23 +8,30 @@ policy scorer it is compared with.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
 
 import numpy as np
 
+from efeplan.inference import bma_beliefs, infer_states
 from efeplan.model import GenerativeModel, Policy, PolicySet
 from efeplan.numerics import Categorical, clamped_log
 from efeplan.planning import (
     EfeBreakdown,
     ObjectiveKind,
+    PlanContext,
+    action_marginal,
     ambiguity,
+    expected_free_energy,
     expected_info_gain,
     extrinsic_value,
+    policy_posterior,
     predictive_outcome,
     predictive_states,
     risk_states,
+    tie_set,
 )
 
 
@@ -96,19 +103,24 @@ def full_score_by_enumeration(q_s: np.ndarray, likelihood: np.ndarray,
     return total
 
 
-def random_model(rng: np.random.Generator, *, max_states: int = 6, max_outcomes: int = 6,
+def random_model(rng: np.random.Generator, *, min_states: int = 2, max_states: int = 6,
+                 min_outcomes: int = 2, max_outcomes: int = 6, min_actions: int = 1,
                  max_actions: int = 4, min_horizon: int = 1, max_horizon: int = 3,
-                 deterministic_likelihood: bool = False, all_policies: bool = False,
-                 risk_prior: bool = False) -> GenerativeModel:
+                 deterministic_likelihood: bool = False,
+                 all_policies: bool = False, risk_prior: bool = False,
+                 sparse: bool = False) -> GenerativeModel:
     """A valid random model with strictly positive B and D (A optionally delta columns).
 
     all_policies takes the full |U|^(T-1) policy set instead of at most four
     random policies. risk_prior adds a risk_state_prior with some entries
-    zeroed, so outcomes the prior rules out occur.
+    zeroed, so outcomes the prior rules out occur. sparse zeroes some entries
+    of A and some rows of each B, so predicted states and outcomes hold exact
+    zeros; its draws come after all others, so the rest of the model is the
+    same either way.
     """
-    n_s = int(rng.integers(2, max_states + 1))
-    n_o = int(rng.integers(2, max_outcomes + 1))
-    n_u = int(rng.integers(1, max_actions + 1))
+    n_s = int(rng.integers(min_states, max_states + 1))
+    n_o = int(rng.integers(min_outcomes, max_outcomes + 1))
+    n_u = int(rng.integers(min_actions, max_actions + 1))
     horizon = int(rng.integers(min_horizon, max_horizon + 1))
     if deterministic_likelihood:
         likelihood = np.zeros((n_o, n_s))
@@ -134,6 +146,14 @@ def random_model(rng: np.random.Generator, *, max_states: int = 6, max_outcomes:
         weights = rng.dirichlet(np.ones(n_s)) * (rng.random(n_s) < 0.7)
         weights[rng.integers(0, n_s)] += 0.1
         risk_state_prior = Categorical(weights / weights.sum())
+    if sparse:
+        kept = rng.random((n_o, n_s)) < 0.6
+        kept[rng.integers(0, n_o, size=n_s), np.arange(n_s)] = True
+        likelihood = likelihood * kept / (likelihood * kept).sum(axis=0)
+        reachable = rng.random((n_u, n_s)) < 0.7  # per action, the states it can reach
+        reachable[np.arange(n_u), rng.integers(0, n_s, size=n_u)] = True
+        transitions = tuple(b * r[:, None] / (b * r[:, None]).sum(axis=0)
+                            for b, r in zip(transitions, reachable))
     return GenerativeModel(
         num_states=n_s,
         num_outcomes=n_o,
@@ -248,6 +268,51 @@ def reference_scores(model: GenerativeModel, q_now: Categorical, policies, plan_
             total += score
         results.append((total, parts, states))
     return results
+
+
+def reference(model: GenerativeModel, config, epochs) -> list[tuple[dict, tuple]]:
+    """Replan each epoch of one trial's records from its recorded history with
+    the public functions alone, an oracle for the closed loop.
+
+    Per viable policy, infer_states filters the observations so far and
+    expected_free_energy scores the remaining horizon from the present belief;
+    then policy_posterior, action_marginal, tie_set and bma_beliefs over whole
+    (timestep x state) tables decide. Nothing is shared between epochs or
+    policies. Returns, per epoch, the EpochRecord fields but the action, and the
+    tie set ((None,) at the final epoch)."""
+    executed = tuple(e.action for e in epochs[:-1])
+    observed = [(e.epoch, e.observation) for e in epochs]
+    fields = [f.name for f in dataclasses.fields(EfeBreakdown)]
+    out = []
+    for e in epochs:
+        t = e.epoch
+        ctx = PlanContext(current_epoch=t, executed_actions=executed[: t - 1])
+        planning = t < model.horizon
+        g = np.full(len(model.policies), math.nan)
+        breakdowns = [None] * len(model.policies)
+        tables = [None] * len(model.policies)
+        for i in ctx.viable(model.policies):
+            policy = model.policies[i]
+            states = infer_states(model, policy, observed[:t]).states
+            tables[i] = np.array([q.probs for q in states])
+            g[i] = 0.0
+            if planning:
+                g[i], parts = expected_free_energy(model, states[t - 1], policy, ctx,
+                                                   config.agent)
+                breakdowns[i] = EfeBreakdown(*(sum(getattr(part, name) for part in parts)
+                                               for name in fields))
+        post = policy_posterior(g, model.policies, ctx, config.precision)
+        marg = action_marginal(post, model.policies, t, model.num_actions) if planning else None
+        out.append((dict(
+            epoch=t,
+            observation=e.observation,
+            action_marginal=None if marg is None else tuple(marg.probs.tolist()),
+            policy_posterior=tuple(post.probs.tolist()),
+            bma_states=tuple(map(tuple, bma_beliefs(post, tables).tolist())),
+            g_values=tuple(g.tolist()),
+            breakdowns=tuple(breakdowns),
+        ), (None,) if marg is None else tie_set(marg, config.tie_tolerance)))
+    return out
 
 
 def _cell_by_old_rule(x) -> str:

@@ -591,6 +591,52 @@ class TestHistoryMemo:
                     assert all(row is kept for row, kept in zip(past, parent.bma_states))
 
 
+def _close(got, want, tol: float = 1e-12) -> bool:
+    """Nested tuples of floats, None and EfeBreakdowns agree to tol; NaN matches NaN."""
+    if isinstance(want, EfeBreakdown):
+        return isinstance(got, EfeBreakdown) and _close(
+            dataclasses.astuple(got), dataclasses.astuple(want), tol)
+    if isinstance(want, tuple):
+        return (isinstance(got, tuple) and len(got) == len(want)
+                and all(_close(a, b, tol) for a, b in zip(got, want)))
+    if want is None or isinstance(want, int):
+        return got == want
+    return (math.isnan(got) and math.isnan(want)) or abs(got - want) <= tol
+
+
+class TestReferenceAgent:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), risk_prior=st.booleans(),
+           all_policies=st.booleans(), deterministic=st.booleans(),
+           precision=st.sampled_from([0.0, 1.0, 16.0]))
+    def test_records_match_the_public_functions(self, seed, risk_prior, all_policies,
+                                                 deterministic, precision):
+        # every field of every record, replanned from its history with the
+        # public functions; the chosen action lies in the reference tie set
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(
+            rng, max_states=6, max_outcomes=6, max_actions=3, min_horizon=1, max_horizon=4,
+            deterministic_likelihood=deterministic, all_policies=all_policies,
+            risk_prior=risk_prior,
+        )
+        for agent in ObjectiveKind:
+            if model.risk_state_prior is None and agent in (ObjectiveKind.EXPECTED_UTILITY_STATES,
+                                                            ObjectiveKind.RISK_ONLY):
+                continue
+            config = _config(agent=agent, precision=precision)
+            memo: dict = {}
+            for trial in range(1, 4):
+                env = _env_from_prior(model, np.random.default_rng([seed, trial]))
+                record = run_trial(model, env, config, np.random.default_rng([seed, trial, 1]),
+                                   trial=trial, memo=memo)
+                for e, (want, tied) in zip(record.epochs,
+                                           helpers.reference(model, config, record.epochs),
+                                           strict=True):
+                    for name, value in want.items():
+                        assert _close(getattr(e, name), value), (agent, e.epoch, name)
+                    assert e.action in tied, (agent, e.epoch)
+
+
 class TestWriteRecords:
     def test_row_counts(self, efe_record, tmp_path):
         write_records(efe_record, tmp_path, "csv")
@@ -953,11 +999,14 @@ class TestParseCli:
         overflow_c.write_text(json.dumps({**maze, "C": [-1e308, 1e308, 0, 0, 0, 0, 0]}))
         json_list = tmp_path / "list.json"
         json_list.write_text(json.dumps([maze]))
+        huge_horizon = tmp_path / "huge_horizon.json"
+        huge_horizon.write_text(json.dumps({**maze, "horizon": 10**400}))
         # built from the clean maze, so each fails on its own defect alone
         named_problem = {
             str(repeated): "policies[10] = [0, 3] repeats policies[3]",
             str(overflow_c): "normalised log-preferences entry [0] is -inf",
             str(json_list): "model spec must be a key-value tree",
+            str(huge_horizon): "overflows G",
         }
         horizon_one = _save_horizon_one(tmp_path / "horizon_one.json")
         # finite normalised log-preferences whose sum over two future epochs is not
@@ -1009,6 +1058,7 @@ class TestParseCli:
             (["decompose", "--model", str(overflow_c)], 2),
             (["decompose", "--agent", "klc"], 2),
             (["validate", "--model", str(json_list)], 2),
+            (["validate", "--model", str(huge_horizon)], 2),
             (["decompose", "--model", horizon_one], 2),
             (["validate", "--model", big_c], 2),
             (["run", "--model", big_c, "--trials", "1"], 2),

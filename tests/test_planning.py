@@ -380,6 +380,59 @@ class TestScorePolicies:
         assert "\n" not in str(info.value)
 
 
+def _scores_as_bits(scores) -> list:
+    """Per policy: G, each breakdown field and the predicted states, as exact bits."""
+    return [(total.hex(), [[getattr(part, f.name).hex() for f in dataclasses.fields(EfeBreakdown)]
+                           for part in parts],
+             [np.asarray(getattr(q, "probs", q)).tobytes() for q in states])
+            for total, parts, states in scores]
+
+
+class TestScorePoliciesToTheBit:
+    """score_policies against the per-term reference at state counts from numpy's
+    8-entry pairwise block up, with and without exact zeros in the rows it reduces."""
+
+    def _assert_matches_reference(self, model, q_now) -> None:
+        for objective in ObjectiveKind:
+            for epoch in range(1, model.horizon):
+                executed = model.policies[-1].actions[: epoch - 1]
+                ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
+                viable = [model.policies[i] for i in ctx.viable(model.policies)]
+                got = [(s.total, s.breakdowns, s.states)
+                       for s in score_policies(model, q_now, viable, ctx, objective)]
+                want = helpers.reference_scores(model, q_now, viable, ctx, objective)
+                assert _scores_as_bits(got) == _scores_as_bits(want), (objective, epoch)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("states", [8, 9, 17, 64])
+    def test_random_models(self, states, sparse):
+        for seed in range(3):
+            rng = np.random.default_rng([states, seed])
+            model = helpers.random_model(
+                rng, min_states=states, max_states=states, min_outcomes=8,
+                max_outcomes=min(states, 20), min_actions=2, max_actions=3, min_horizon=3,
+                max_horizon=4, all_policies=True, risk_prior=True, sparse=sparse,
+            )
+            q_now = rng.dirichlet(np.ones(states))
+            if sparse:  # and some states ruled out now
+                q_now = q_now * (rng.random(states) < 0.7)
+            q_now = Categorical(q_now / q_now.sum())
+            # sparse rows take the grouped masked sums, dense ones the full-row reduction
+            predicted = np.concatenate([s.states for s in score_policies(
+                model, q_now, model.policies, PlanContext(current_epoch=1), "efe")])
+            assert (predicted == 0.0).any() == sparse
+            assert (model.likelihood == 0.0).any() == sparse
+            self._assert_matches_reference(model, q_now)
+
+    def test_a_dense_256_state_model(self):
+        rng = np.random.default_rng(256)
+        model = helpers.random_model(rng, min_states=256, max_states=256, min_outcomes=7,
+                                     max_outcomes=7, min_actions=2, max_actions=2,
+                                     min_horizon=4, max_horizon=4, all_policies=True,
+                                     risk_prior=True)
+        self._assert_matches_reference(model, helpers.random_categorical(rng, 256))
+
+
 def _assert_summed_is_the_sum_of_breakdowns(scores) -> None:
     """Each summed field, as hex, is sum() of that field over the breakdowns: NaN
     matches NaN and the sign of a zero counts."""
