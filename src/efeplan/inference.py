@@ -117,14 +117,12 @@ def bma_beliefs(policy_posterior: Categorical, per_policy_states) -> np.ndarray:
     weights = policy_posterior.probs
     if len(per_policy_states) != len(weights):
         raise ValueError("one belief sequence per policy is required")
-    mixed = None
-    for i, (w, states) in enumerate(zip(weights, per_policy_states)):
-        if states is None and w > 0.0:
-            raise ValueError(f"policy {i} has posterior mass but no beliefs")
-        if w <= 0.0:
-            continue
-        contribution = w * states
-        mixed = contribution if mixed is None else mixed + contribution
-    if mixed is None:
+    kept = np.flatnonzero(weights > 0.0).tolist()
+    missing = next((i for i in kept if per_policy_states[i] is None), None)
+    if missing is not None:
+        raise ValueError(f"policy {missing} has posterior mass but no beliefs")
+    if not kept:
         raise ValueError("policy posterior has no mass")
+    # an axis-0 sum adds the weighted tables in policy order, as a loop would
+    mixed = (weights[kept, None, None] * np.array([per_policy_states[i] for i in kept])).sum(axis=0)
     return mixed / mixed.sum(axis=1, keepdims=True)

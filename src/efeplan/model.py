@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numerics import NORM_TOL, Categorical, log_sum_exp
+from .numerics import NORM_TOL, Categorical, _column_entropies, clamped_log, log_sum_exp
 
 
 class ModelSpecError(ValueError):
@@ -71,10 +71,13 @@ class PolicySet:
         return self.policies[i]
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64).copy()
+def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    return _frozen(np.asarray(a, dtype=np.float64).copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +104,24 @@ class GenerativeModel:
         object.__setattr__(self, "transitions", tuple(_readonly(b) for b in self.transitions))
         object.__setattr__(self, "preferences", _readonly(self.preferences))
 
+    # The planner's per-model constants, computed on first use; the arrays they
+    # derive from are read-only, so they never go stale.
+    @functools.cached_property
+    def column_entropies(self) -> np.ndarray:
+        """Outcome entropy of each likelihood column, nats."""
+        return _frozen(_column_entropies(self.likelihood))
+
+    @functools.cached_property
+    def log_preferences(self) -> np.ndarray:
+        """The preferences normalised into log-probabilities over outcomes."""
+        return _frozen(self.preferences - log_sum_exp(self.preferences))
+
+    @functools.cached_property
+    def log_risk_prior(self) -> np.ndarray | None:
+        """clamped_log of risk_state_prior, None without one."""
+        prior = self.risk_state_prior
+        return None if prior is None else _frozen(clamped_log(prior.probs))
+
 
 def _check_finite(name: str, array: np.ndarray, violations: list[str]) -> bool:
     finite = np.isfinite(array)
@@ -126,6 +147,21 @@ def _check_columns(name: str, matrix: np.ndarray, violations: list[str]) -> None
             violations.append(f"{name} column {col} sums to {total!r}, expected 1")
 
 
+_LONG = 10**20  # from here on an integer is printed by its ends and its digit count
+
+
+def _int_text(n: int) -> str:
+    """n in decimal, or from _LONG on its first and last six digits and its digit
+    count, so that a message about it stays one short line."""
+    if abs(n) < _LONG:
+        return str(n)
+    try:
+        text = str(n)
+    except ValueError:  # more digits than str() converts
+        return f"an integer of {n.bit_length()} bits"
+    return f"{text[:6]}...{text[-6:]} ({len(text.lstrip('-'))} digits)"
+
+
 def validate(model: GenerativeModel) -> list[str]:
     """Return every invariant violation with its location; empty means valid."""
     v: list[str] = []
@@ -133,7 +169,8 @@ def validate(model: GenerativeModel) -> list[str]:
         v.append("num_states, num_outcomes, num_actions must all be positive")
         return v
     if model.horizon < 1:
-        v.append(f"horizon must be positive, got {model.horizon}")
+        v.append(f"horizon must be positive, got {_int_text(model.horizon)}")
+    future = _int_text(model.horizon - 1)  # the future epochs, and so each policy's length
 
     if model.likelihood.shape != (model.num_outcomes, model.num_states):
         v.append(
@@ -160,7 +197,7 @@ def validate(model: GenerativeModel) -> list[str]:
         )
     elif _check_finite("preferences", model.preferences, v):
         with np.errstate(over="ignore"):  # an overflow is the -inf reported here
-            log_preferences = model.preferences - log_sum_exp(model.preferences)
+            log_preferences = model.log_preferences
         if _check_finite("normalised log-preferences", log_preferences, v):
             # G adds up to horizon - 1 expected utilities, each down to the lowest
             # entry; NORM_TOL covers rounding in the predicted outcome distributions
@@ -172,7 +209,7 @@ def validate(model: GenerativeModel) -> list[str]:
                 bound = math.inf
             if not math.isfinite(bound):
                 v.append(f"normalised log-preferences entry [{worst}] is {lowest!r}, which "
-                         f"overflows G summed over {model.horizon - 1} future epochs")
+                         f"overflows G summed over {future} future epochs")
     if len(model.state_prior) != model.num_states:
         v.append(f"state prior has length {len(model.state_prior)}, expected {model.num_states}")
     if model.risk_state_prior is not None and len(model.risk_state_prior) != model.num_states:
@@ -181,11 +218,13 @@ def validate(model: GenerativeModel) -> list[str]:
             f"expected {model.num_states}"
         )
 
+    each = abs(model.horizon) < _LONG  # else no policy is that long: one line says so for all
+    if not each:
+        lengths = sorted({len(p.actions) for p in model.policies})
+        v.append(f"policies have lengths {lengths}, expected {future}")
     for i, policy in enumerate(model.policies):
-        if len(policy.actions) != model.horizon - 1:
-            v.append(
-                f"policy {i} has length {len(policy.actions)}, expected {model.horizon - 1}"
-            )
+        if each and len(policy.actions) != model.horizon - 1:
+            v.append(f"policy {i} has length {len(policy.actions)}, expected {future}")
         for j, a in enumerate(policy.actions):
             if not 0 <= a < model.num_actions:
                 v.append(f"policy {i} action {j} is {a}, outside 0..{model.num_actions - 1}")
@@ -260,12 +299,13 @@ def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) ->
     and convert it. JSON numbers arrive as exact ints and floats, never bools."""
     vector = len(shape) == 1
     if not isinstance(raw, list) or len(raw) != shape[0]:
-        raise ModelSpecError(f"{name} must be a list of {shape[0]} "
+        raise ModelSpecError(f"{name} must be a list of {_int_text(shape[0])} "
                              f"{'numbers' if vector else 'rows'}")
     rows = [raw] if vector else raw
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != shape[-1]:
-            raise ModelSpecError(f"{name} row {i} must be a list of {shape[-1]} numbers")
+            raise ModelSpecError(f"{name} row {i} must be a list of {_int_text(shape[-1])} "
+                                 "numbers")
 
     def where(i: int, j: int) -> str:
         return f"{name}[{j}]" if vector else f"{name}[{i}][{j}]"
@@ -305,7 +345,7 @@ def load_spec(path) -> GenerativeModel:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ModelSpecError(f"{path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ModelSpecError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelSpecError("model spec must be a key-value tree")
@@ -317,7 +357,8 @@ def load_spec(path) -> GenerativeModel:
     for key in ("num_states", "num_outcomes", "num_actions", "horizon"):
         value = doc[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ModelSpecError(f"{key} must be a positive integer, got {value!r}")
+            shown = _int_text(value) if type(value) is int else repr(value)
+            raise ModelSpecError(f"{key} must be a positive integer, got {shown}")
         dims[key] = value
     n_s, n_o, n_u, horizon = (dims[k] for k in
                               ("num_states", "num_outcomes", "num_actions", "horizon"))

@@ -25,23 +25,39 @@ class Categorical:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)  # a copy the caller cannot change
         if probs.ndim != 1 or probs.size < 1:
             raise ValueError(f"probs must be a nonempty 1-d vector, got shape {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite")
-        if np.any(probs < 0.0):
-            raise ValueError(f"probs must be nonnegative, got min {float(probs.min())!r}")
-        with np.errstate(over="ignore"):  # an overflowing sum is the inf reported below
-            total = float(probs.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"probs must sum to 1 within {NORM_TOL}, got {total!r}")
-        probs = probs.copy()
+        # one pass accepts a distribution (entries in [0, 1] are finite and cannot
+        # overflow the sum); any other vector gets the checks that name its fault
+        if not (0.0 <= probs.min() and probs.max() <= 1.0
+                and abs(float(probs.sum()) - 1.0) <= NORM_TOL):
+            _check_probs(probs)
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
         return self.probs.size
+
+
+def _check_probs(probs: np.ndarray) -> None:
+    """Raise for the first fault of a probability vector: a non-finite entry, a
+    negative entry or a sum off 1 by more than NORM_TOL."""
+    if not np.all(np.isfinite(probs)):
+        raise ValueError("probs must be finite")
+    if np.any(probs < 0.0):
+        raise ValueError(f"probs must be nonnegative, got min {float(probs.min())!r}")
+    with np.errstate(over="ignore"):  # an overflowing sum is the inf reported below
+        total = float(probs.sum())
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"probs must sum to 1 within {NORM_TOL}, got {total!r}")
+
+
+def _column_entropies(likelihood: np.ndarray) -> np.ndarray:
+    """Outcome entropy of each likelihood column, with 0*log(0) := 0."""
+    return np.where(
+        likelihood > 0.0, -likelihood * np.log(np.where(likelihood > 0.0, likelihood, 1.0)), 0.0
+    ).sum(axis=0)
 
 
 def clamped_log(x: np.ndarray) -> np.ndarray:
@@ -88,7 +104,7 @@ def softmax(logits, precision: float = 1.0) -> Categorical:
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
         raise ValueError(f"logits must be a nonempty vector, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("logits must be finite")
     if not (np.isfinite(precision) and precision >= 0.0):
         raise ValueError(f"precision must be a nonnegative real, got {precision!r}")

@@ -11,6 +11,7 @@ consistent with the actions already executed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ import numpy as np
 from .model import GenerativeModel, Policy, PolicySet
 from .numerics import (
     Categorical,
+    _column_entropies,
     _kl,
     clamped_log,
     entropy,
@@ -77,12 +79,19 @@ class PlanContext:
             )
 
     def viable(self, policies: PolicySet) -> list[int]:
-        """Indices of the policies whose action prefix matches the executed actions."""
-        executed = self.executed_actions
-        actions = policies.actions
-        if actions.shape[1] < len(executed):
-            return []
-        return (actions[:, : len(executed)] == executed).all(axis=1).nonzero()[0].tolist()
+        """Indices of the policies whose action prefix matches the executed actions.
+
+        The context keeps its answer for the last policy set it was asked about,
+        so planning an epoch and its policy posterior scan the policies once."""
+        last = self.__dict__.get("_viable")
+        if last is None or last[0] is not policies:
+            executed = self.executed_actions
+            actions = policies.actions
+            kept = ([] if actions.shape[1] < len(executed) else
+                    (actions[:, : len(executed)] == executed).all(axis=1).nonzero()[0].tolist())
+            last = (policies, tuple(kept))
+            object.__setattr__(self, "_viable", last)
+        return list(last[1])
 
 
 def _check_states(name: str, belief: Categorical, model: GenerativeModel) -> None:
@@ -132,13 +141,6 @@ def ambiguity(q_s: Categorical, likelihood: np.ndarray) -> float:
             f"likelihood has {likelihood.shape[1]} state columns, belief has {len(q_s)}"
         )
     return float(q_s.probs @ _column_entropies(likelihood))
-
-
-def _column_entropies(likelihood: np.ndarray) -> np.ndarray:
-    """Outcome entropy of each likelihood column, with 0*log(0) := 0."""
-    return np.where(
-        likelihood > 0.0, -likelihood * np.log(np.where(likelihood > 0.0, likelihood, 1.0)), 0.0
-    ).sum(axis=0)
 
 
 def expected_info_gain(q_s: Categorical, likelihood: np.ndarray) -> float:
@@ -206,6 +208,38 @@ def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], v[:, None])[:, 0, 0]
 
 
+@functools.lru_cache(maxsize=64)
+def _tree_layout(num_actions: int, shape: tuple[int, int], key: bytes):
+    """The tree of remaining-action prefixes of an int array, which depends on the
+    actions alone: (steps, paths, rows).
+
+    A rollout table holds the root in row 0, then the nodes level by level, a
+    level's nodes numbered as the (action, parent) pairs some policy takes,
+    action-major; it has rows rows. Each step (action, parents, start, stop)
+    makes rows start..stop-1 from the parent rows by that action, and policy
+    i's node at step k is row paths[i, k] + 1. Every array is read-only, as
+    the cache hands the same ones to every caller.
+    """
+    actions = np.frombuffer(key, dtype=np.intp).reshape(shape)
+    node = np.zeros(shape[0], dtype=np.intp)  # each policy's node in the parent level
+    steps, paths = [], np.empty(shape, dtype=np.intp)
+    first, row = 0, 1  # the parent level's first row; the next free row
+    for k, column in enumerate(actions.T):
+        taken = np.zeros((num_actions, row - first), dtype=bool)
+        taken[column, node] = True
+        node = np.cumsum(taken).reshape(taken.shape)[column, node] - 1
+        paths[:, k] = row - 1 + node
+        level = row
+        for a in taken.any(axis=1).nonzero()[0].tolist():
+            parents = first + taken[a].nonzero()[0]
+            parents.flags.writeable = False
+            steps.append((a, parents, row, row + len(parents)))
+            row += len(parents)
+        first = level
+    paths.flags.writeable = False
+    return tuple(steps), paths, row
+
+
 def _score_tree(
     model: GenerativeModel,
     q_now: Categorical,
@@ -215,50 +249,42 @@ def _score_tree(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Predict and score the tree of remaining-action prefixes as arrays.
 
-    actions[i] holds policy i's actions after epoch. Each level of the tree is
-    predicted at once, one stacked product per action, from its parents'
-    unnormalised rollouts; then every node of every level is scored in one
-    batch with the public term functions' arithmetic, to the bit. Returns
-    (summed, paths, parts, states): policy i's terms summed over its steps, in
-    EfeBreakdown's field order; the node of its step k at paths[i, k]; and a
-    node's terms and normalised prediction at parts[j] and states[j].
+    actions[i] holds policy i's actions after epoch. The tree's layout comes
+    from _tree_layout, once per actions array; each of its steps predicts the
+    nodes one action makes from their parents' unnormalised rollouts with one
+    stacked product. Then every node is scored in one batch with the public
+    term functions' arithmetic, to the bit, from the model's cached constants.
+    Returns (summed, paths, parts, states): policy i's terms summed over its
+    steps, in EfeBreakdown's field order; the node of its step k at
+    paths[i, k]; and a node's terms and normalised prediction at parts[j] and
+    states[j].
     """
     objective = ObjectiveKind(objective)
     if epoch >= model.horizon:
         raise ValueError(f"no future timesteps to plan at epoch {epoch} of {model.horizon}")
     _check_states("q_now", q_now, model)
-    prior = model.risk_state_prior
-    if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and prior is None:
+    log_prior = model.log_risk_prior
+    if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and (
+            log_prior is None):
         raise ConfigurationError(
             f"objective {objective.value} needs a model that defines risk_state_prior"
         )
 
-    raw = q_now.probs[None]  # one unnormalised rollout per node of the level
-    node = np.zeros(len(actions), dtype=np.intp)  # each policy's node in the level
-    levels, paths = [], np.empty(actions.shape, dtype=np.intp)
-    offset = 0
-    for k, column in enumerate(actions.T):
-        # a node is an (action, parent) pair that some policy takes, numbered in that order
-        taken = np.zeros((model.num_actions, len(raw)), dtype=bool)
-        taken[column, node] = True
-        node = np.cumsum(taken).reshape(taken.shape)[column, node] - 1
-        raw = np.concatenate([
-            np.matmul(model.transitions[a][None], raw[taken[a], :, None])[..., 0]
-            for a in taken.any(axis=1).nonzero()[0].tolist()
-        ])
-        levels.append(raw)
-        paths[:, k] = offset + node
-        offset += len(raw)
+    actions = np.asarray(actions, dtype=np.intp)
+    steps, paths, rows = _tree_layout(model.num_actions, actions.shape, actions.tobytes())
+    raw = np.empty((rows, model.num_states))  # unnormalised rollouts
+    raw[0] = q_now.probs
+    for a, parents, start, stop in steps:
+        raw[start:stop] = np.matmul(model.transitions[a][None], raw[parents, :, None])[..., 0]
 
-    raw = np.concatenate(levels)
+    raw = raw[1:]
     states = raw / raw.sum(axis=1, keepdims=True)
     q_o = np.matmul(model.likelihood[None], states[:, :, None])[..., 0]
     p_o = q_o / q_o.sum(axis=1, keepdims=True)
-    ambig = _dots(states, _column_entropies(model.likelihood))
+    ambig = _dots(states, model.column_entropies)
     intrinsic = -_row_sums(lambda p, _: p * np.log(p), p_o) - ambig
-    extrinsic = _dots(p_o, model.preferences - log_sum_exp(model.preferences))
-    log_prior = None if prior is None else clamped_log(prior.probs)
-    risk = (np.full(len(states), math.nan) if prior is None else
+    extrinsic = _dots(p_o, model.log_preferences)
+    risk = (np.full(len(states), math.nan) if log_prior is None else
             _row_sums(lambda q, columns: q * (np.log(q) - log_prior[columns]), states))
     if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
         total = -intrinsic - extrinsic
@@ -338,9 +364,10 @@ def policy_posterior(
         raise ValueError(
             f"no policy is consistent with executed actions {plan_ctx.executed_actions}"
         )
-    if not np.all(np.isfinite(g[viable])):
+    scores = g[viable]
+    if not np.isfinite(scores).all():
         raise ValueError("scores of viable policies must be finite")
-    kept = softmax(-g[viable], precision)
+    kept = softmax(-scores, precision)
     probs = np.zeros(len(policies))
     probs[viable] = kept.probs
     return Categorical(probs)

@@ -17,7 +17,7 @@ import numpy as np
 
 from efeplan.inference import bma_beliefs, infer_states
 from efeplan.model import GenerativeModel, Policy, PolicySet
-from efeplan.numerics import Categorical, clamped_log
+from efeplan.numerics import NORM_TOL, Categorical, clamped_log
 from efeplan.planning import (
     EfeBreakdown,
     ObjectiveKind,
@@ -203,6 +203,44 @@ def bma_by_timestep(weights: np.ndarray, per_policy_states) -> np.ndarray:
             mixed = contribution if mixed is None else mixed + contribution
         rows.append(mixed / mixed.sum())
     return np.array(rows)
+
+
+def bma_by_policy_loop(weights: np.ndarray, per_policy_states) -> np.ndarray:
+    """Posterior-weighted mix of per-policy belief tables, one policy at a time:
+    each weighted table added to the running sum in policy order, then each row
+    divided by its own sum. Raises bma_beliefs' errors, the first policy with
+    mass but no table named."""
+    if len(per_policy_states) != len(weights):
+        raise ValueError("one belief sequence per policy is required")
+    mixed = None
+    for i, (w, states) in enumerate(zip(weights, per_policy_states)):
+        if states is None and w > 0.0:
+            raise ValueError(f"policy {i} has posterior mass but no beliefs")
+        if w <= 0.0:
+            continue
+        contribution = w * states
+        mixed = contribution if mixed is None else mixed + contribution
+    if mixed is None:
+        raise ValueError("policy posterior has no mass")
+    return mixed / mixed.sum(axis=1, keepdims=True)
+
+
+def categorical_fault(values) -> str | None:
+    """The message of the first check a probability vector fails, the checks run
+    one at a time in Categorical's order (shape, finite, nonnegative, sum); None
+    when it passes them all."""
+    probs = np.asarray(values, dtype=np.float64)
+    if probs.ndim != 1 or probs.size < 1:
+        return f"probs must be a nonempty 1-d vector, got shape {probs.shape}"
+    if not all(math.isfinite(x) for x in probs.tolist()):
+        return "probs must be finite"
+    if any(x < 0.0 for x in probs.tolist()):
+        return f"probs must be nonnegative, got min {min(probs.tolist())!r}"
+    with np.errstate(over="ignore"):
+        total = float(probs.sum())
+    if abs(total - 1.0) > NORM_TOL:
+        return f"probs must sum to 1 within {NORM_TOL}, got {total!r}"
+    return None
 
 
 def evidence_bound_by_outcome_loop(q_s: np.ndarray, likelihood: np.ndarray,

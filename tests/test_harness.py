@@ -1,21 +1,27 @@
 """Trial loop, experiment driver, persistence, and CLI parsing."""
+import contextlib
+import copy
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from efeplan import harness
-from efeplan.cli import UsageError, config_from_args, main, parse_cli
+from efeplan.cli import AGENT_NAMES, UsageError, config_from_args, main, parse_cli
 from efeplan.harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -1001,13 +1007,22 @@ class TestParseCli:
         json_list.write_text(json.dumps([maze]))
         huge_horizon = tmp_path / "huge_horizon.json"
         huge_horizon.write_text(json.dumps({**maze, "horizon": 10**400}))
+        negative_horizon = tmp_path / "negative_horizon.json"
+        negative_horizon.write_text(json.dumps({**maze, "horizon": -(10**400)}))
+        wide_horizon = tmp_path / "wide_horizon.json"  # past int()'s limit of 4300 digits
+        wide_horizon.write_text(json.dumps({**maze, "horizon": 0}).replace(
+            '"horizon": 0', '"horizon": 1' + "0" * 5000))
         # built from the clean maze, so each fails on its own defect alone
         named_problem = {
             str(repeated): "policies[10] = [0, 3] repeats policies[3]",
             str(overflow_c): "normalised log-preferences entry [0] is -inf",
             str(json_list): "model spec must be a key-value tree",
             str(huge_horizon): "overflows G",
+            str(negative_horizon): "horizon must be a positive integer, got -10000",
         }
+        # each holds an integer of hundreds of digits or more, which its message
+        # must not spell out
+        short_lines = {str(huge_horizon), str(negative_horizon), str(wide_horizon)}
         horizon_one = _save_horizon_one(tmp_path / "horizon_one.json")
         # finite normalised log-preferences whose sum over two future epochs is not
         big_c = _save_maze(tmp_path / "big_c.json", preferences=np.array([1e308] + [0.0] * 6))
@@ -1059,6 +1074,10 @@ class TestParseCli:
             (["decompose", "--agent", "klc"], 2),
             (["validate", "--model", str(json_list)], 2),
             (["validate", "--model", str(huge_horizon)], 2),
+            (["run", "--model", str(huge_horizon), "--trials", "1"], 2),
+            (["decompose", "--model", str(huge_horizon)], 2),
+            (["validate", "--model", str(negative_horizon)], 2),
+            (["validate", "--model", str(wide_horizon)], 2),
             (["decompose", "--model", horizon_one], 2),
             (["validate", "--model", big_c], 2),
             (["run", "--model", big_c, "--trials", "1"], 2),
@@ -1084,6 +1103,8 @@ class TestParseCli:
             spec = argv[argv.index("--model") + 1] if "--model" in argv else None
             if spec in named_problem:
                 assert named_problem[spec] in err, (argv, err)
+            if spec in short_lines:
+                assert len(err) < 300, (argv, err)
 
     def test_missing_risk_prior_reads_the_same_everywhere(self, capsys):
         maze = build_tmaze_model()
@@ -1133,6 +1154,97 @@ class TestParseCli:
         assert main(["decompose", "--agent", "efe"]) == 0
         out = capsys.readouterr().out
         assert "policy" in out
+
+
+# odd JSON values a spec mutation puts in place of a key's value or a list entry
+_ODD_JSON = (0, -1, 1, 2, 0.5, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-320,
+             10**400, -(10**400), True, False, None, "x", [], [0.5], {})
+# the values each flag is given, valid and not; {spec}, {absent}, {out} and {a_file}
+# stand for paths in the example's directory
+_FLAG_VALUES = {
+    "--agent": (*AGENT_NAMES, "bogus"),
+    "--seed": ("0", "7", "-1", "x", str(2**64), "1e3"),
+    "--precision": ("0", "1", "16", "1e308", "-1", "nan", "inf", "x"),
+    "--tie-tolerance": ("0", "1e-9", "0.5", "-1", "nan", "inf"),
+    "--reward-prob": ("0", "-0.0", "0.5", "0.98", "1", "1.5", "nan"),
+    "--model": ("{spec}", "{spec}", "{spec}", "{absent}"),
+    "--trials": ("1", "2", "0", "-1", "x"),
+    "--format": ("csv", "json", "xml"),
+    "--out": ("{out}", "{a_file}"),
+    "--trial": ("1", "3", "50", "0", "-2", "x"),
+    "--beliefs": ("1,1,1,1,1,1,1,1", "1,2", "0,0,0,0,0,0,0,0", "nan,1,1,1,1,1,1,1",
+                  "1e308,1e308,1,1,1,1,1,1", "-1,1,1,1,1,1,1,1", ""),
+    "--executed": ("", "0", "1", "3", "9", "-1", "1,", "x", "1,2"),
+}
+_COMMON_FLAGS = ("--agent", "--seed", "--precision", "--tie-tolerance", "--reward-prob", "--model")
+_COMMAND_FLAGS = {
+    "run": (*_COMMON_FLAGS, "--trials", "--format", "--out"),
+    "trial": (*_COMMON_FLAGS, "--trial"),
+    "decompose": ("--model", "--agent", "--beliefs", "--executed"),
+    "validate": ("--model",),
+}
+_ALWAYS = {"run": "--trials", "validate": "--model"}  # no run of 50 trials; a spec to check
+
+
+@functools.cache
+def _maze_doc() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        return json.loads(Path(_save_maze(Path(tmp, "maze.json"))).read_text())
+
+
+@st.composite
+def _mutated_maze_spec(draw) -> dict:
+    """The maze's spec document after up to three mutations, each dropping a key
+    or putting an odd JSON value in place of a key's value or of an entry nested
+    in its lists."""
+    doc = copy.deepcopy(_maze_doc())
+    for _ in range(draw(st.integers(0, 3))):
+        if not doc:
+            break
+        owner, key = doc, draw(st.sampled_from(sorted(doc)))
+        while isinstance(owner[key], list) and owner[key] and draw(st.booleans()):
+            owner, key = owner[key], draw(st.integers(0, len(owner[key]) - 1))
+        if isinstance(owner, dict) and draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(draw(st.sampled_from(_ODD_JSON)))
+    return doc
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """A command and some of its flags, each with one of its values."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag in _COMMAND_FLAGS[command]:
+        if flag == _ALWAYS.get(command) or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    return argv
+
+
+class TestExitCodeContract:
+    """Any spec and any flag values end in exit code 0-3, one stderr line on a
+    nonzero exit, and no warning."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_mutated_maze_spec(), argv=_cli_argv())
+    # counts of hundreds of digits; the horizon's once ended in a traceback
+    @example(doc={**_maze_doc(), "horizon": 10**400}, argv=["validate", "--model", "{spec}"])
+    @example(doc={**_maze_doc(), "num_states": 10**400}, argv=["run", "--model", "{spec}"])
+    def test_every_input_ends_in_a_documented_exit_property(self, doc, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {name: str(Path(tmp, name)) for name in ("spec", "absent", "out", "a_file")}
+            Path(paths["spec"]).write_text(json.dumps(doc))
+            Path(paths["a_file"]).write_text("")
+            argv = [arg.format(**paths) for arg in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert len(err.getvalue().splitlines()) == (code != 0), (argv, err.getvalue())
+        assert not caught, (argv, [str(w.message) for w in caught])
 
 
 class TestBuildTables:

@@ -1,5 +1,6 @@
 """State estimation against enumeration oracles, plus free-energy contracts."""
 import math
+import types
 
 import numpy as np
 import pytest
@@ -248,3 +249,36 @@ class TestBmaBeliefs:
         ]
         assert np.array_equal(bma_beliefs(post, tables),
                               helpers.bma_by_timestep(post.probs, tables))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_policies=st.sampled_from([1, 2, 7, 64, 1024]),
+           num_states=st.integers(1, 9), timesteps=st.integers(1, 5),
+           zeros=st.sampled_from([0.0, 0.5, 0.99]))
+    def test_matches_the_per_policy_loop_to_the_bit(self, seed, num_policies, num_states,
+                                                    timesteps, zeros):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(num_policies) * (rng.random(num_policies) >= zeros)
+        weights[rng.integers(num_policies)] += rng.random()
+        post = Categorical(weights / weights.sum())
+        tables = [None if w == 0.0 and rng.random() < 0.5
+                  else rng.dirichlet(np.ones(num_states), size=timesteps) for w in post.probs]
+        got = bma_beliefs(post, tables)
+        assert got.tobytes() == helpers.bma_by_policy_loop(post.probs, tables).tobytes()
+
+    def test_names_the_first_policy_with_mass_but_no_beliefs(self):
+        post = Categorical(np.array([0.0, 0.25, 0.0, 0.25, 0.5]))
+        tables = [None, np.ones((1, 2)) / 2, None, None, None]
+        with pytest.raises(ValueError) as want:
+            helpers.bma_by_policy_loop(post.probs, tables)
+        with pytest.raises(ValueError) as got:
+            bma_beliefs(post, tables)
+        assert str(got.value) == str(want.value) == "policy 3 has posterior mass but no beliefs"
+
+    def test_a_posterior_without_mass_is_refused_as_before(self):
+        weightless = types.SimpleNamespace(probs=np.zeros(3))  # no Categorical is massless
+        tables = [np.ones((1, 2)) / 2] * 3
+        with pytest.raises(ValueError) as want:
+            helpers.bma_by_policy_loop(weightless.probs, tables)
+        with pytest.raises(ValueError) as got:
+            bma_beliefs(weightless, tables)
+        assert str(got.value) == str(want.value) == "policy posterior has no mass"

@@ -63,6 +63,18 @@ class TestValidate:
     def test_builtin_maze_is_clean(self):
         assert validate(build_tmaze_model()) == []
 
+    @pytest.mark.parametrize("horizon, shown", [
+        (10**400, "999999...999999 (400 digits)"),
+        (-(10**400), "-10000...000001 (401 digits)"),
+        # past the 4300 digits that str() converts where the interpreter sets that limit
+        (10**5000, ""),
+    ], ids=["10**400", "-10**400", "10**5000"])
+    def test_a_horizon_of_hundreds_of_digits_is_reported_in_short(self, horizon, shown):
+        violations = validate(_broken_copy(build_tmaze_model(), horizon=horizon))
+        assert any(v.startswith(f"policies have lengths [2], expected {shown}")
+                   for v in violations), violations
+        assert len("; ".join(violations)) < 300, violations
+
     def test_column_sum_violation(self):
         model = build_tmaze_model()
         bad = np.array(model.likelihood)

@@ -3,9 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from efeplan.numerics import (
     LOG_EPS,
+    NORM_TOL,
     Categorical,
     DegenerateDistributionError,
     entropy,
@@ -32,6 +36,66 @@ class TestCategorical:
         c = Categorical(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             c.probs[0] = 1.0
+
+
+# entries at the edges of each check: non-finite, signed and subnormal zeros,
+# tiny negatives, entries just above 1 and overflowing ones
+_EDGE_ENTRIES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2e-308, -5e-324, -1e-300,
+                 -1e-12, 1.0, math.nextafter(1.0, 2.0), 1.0 + NORM_TOL, 2.0, 1e308)
+# sums off 1 by exactly NORM_TOL and by one ulp of it either way
+_SUM_OFFSETS = (0.0, NORM_TOL, -NORM_TOL, math.nextafter(NORM_TOL, 1.0),
+                math.nextafter(NORM_TOL, 0.0), -math.nextafter(NORM_TOL, 1.0), 3e-9, -3e-9)
+
+
+@st.composite
+def _probability_vectors(draw):
+    """A normalised vector, one entry of it moved so the sum misses 1 by an edge
+    offset, and some entries replaced by edge entries."""
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9)))
+    if weights.sum() > 0.0:
+        weights = weights / weights.sum()
+    values = weights.tolist()
+    values[draw(st.integers(0, len(values) - 1))] += draw(st.sampled_from(_SUM_OFFSETS))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(_EDGE_ENTRIES))
+    return values
+
+
+class TestCategoricalChecks:
+    """Categorical's one-pass acceptance against its checks run one at a time."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(values=_probability_vectors())
+    def test_accepts_and_refuses_as_the_checks_do_property(self, values):
+        fault = helpers.categorical_fault(values)
+        if fault is None:
+            assert Categorical(np.array(values)).probs.tobytes() == np.array(values).tobytes()
+        else:
+            with pytest.raises(ValueError) as info:
+                Categorical(np.array(values))
+            assert str(info.value) == fault
+
+    @pytest.mark.parametrize("values", [
+        [math.nextafter(1.0, 2.0)],  # above 1, within NORM_TOL: left to the checks
+        [1.0 + NORM_TOL / 2, 0.0],
+        [-0.0, 1.0],
+        [5e-324, 1.0],
+    ])
+    def test_edge_vectors_the_checks_accept_are_accepted(self, values):
+        assert helpers.categorical_fault(values) is None
+        assert Categorical(np.array(values)).probs.tolist() == values
+
+    @pytest.mark.parametrize("values, message", [
+        ([math.nan, 1.0], "probs must be finite"),
+        ([math.inf, -math.inf], "probs must be finite"),
+        ([-5e-324, 1.0], "probs must be nonnegative, got min -5e-324"),
+        ([1e308, 1e308], "probs must sum to 1 within 1e-09, got inf"),
+        ([1.0, 2 * NORM_TOL], "probs must sum to 1 within 1e-09, got 1.000000002"),
+    ])
+    def test_refusals_name_the_fault(self, values, message):
+        with pytest.raises(ValueError) as info:
+            Categorical(np.array(values))
+        assert str(info.value) == message == helpers.categorical_fault(values)
 
 
 class TestNormalize:

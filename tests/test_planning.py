@@ -1,5 +1,6 @@
 """Policy scoring: pinned maze values, reduced objectives, diagnostics."""
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -431,6 +432,67 @@ class TestScorePoliciesToTheBit:
                                      min_horizon=4, max_horizon=4, all_policies=True,
                                      risk_prior=True)
         self._assert_matches_reference(model, helpers.random_categorical(rng, 256))
+
+
+class TestCachedScoringState:
+    """The scorer caches each model's constants on the model and each actions
+    array's tree layout by value; neither may carry one model's values to another."""
+
+    @staticmethod
+    def _scores_bits(model, q_now, objective) -> list:
+        """score_policies at epoch 1 as bits, checked against the per-term reference."""
+        ctx = PlanContext(current_epoch=1)
+        got = [(s.total, s.breakdowns, s.states)
+               for s in score_policies(model, q_now, model.policies, ctx, objective)]
+        bits = _scores_as_bits(got)
+        want = helpers.reference_scores(model, q_now, model.policies, ctx, objective)
+        assert bits == _scores_as_bits(want), objective
+        return bits
+
+    @staticmethod
+    def _objectives(model) -> list[ObjectiveKind]:
+        return [o for o in ObjectiveKind if model.risk_state_prior is not None or o not in (
+            ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY)]
+
+    def test_models_of_one_shape_built_and_dropped_in_turn(self):
+        # every model has the same policies, so all share one cached layout; each is
+        # dropped before the next is built, so object ids recycle
+        for seed in range(24):
+            rng = np.random.default_rng([5, seed])
+            model = helpers.random_model(
+                rng, min_states=5, max_states=5, min_outcomes=3, max_outcomes=3,
+                min_actions=2, max_actions=2, min_horizon=4, max_horizon=4,
+                all_policies=True, risk_prior=seed % 2 == 0, sparse=seed % 3 == 0)
+            q_now = helpers.random_categorical(rng, 5)
+            for objective in self._objectives(model):
+                self._scores_bits(model, q_now, objective)
+            del model
+            gc.collect()
+
+    def test_one_actions_array_under_two_models(self):
+        rng = np.random.default_rng(11)
+        first, second = (helpers.random_model(
+            rng, min_states=6, max_states=6, min_outcomes=4, max_outcomes=4, min_actions=2,
+            max_actions=2, min_horizon=4, max_horizon=4, all_policies=True, risk_prior=True)
+            for _ in range(2))
+        q_now = helpers.random_categorical(rng, 6)
+        for objective in ObjectiveKind:
+            bits = [self._scores_bits(model, q_now, objective)
+                    for model in (first, second, first, second)]
+            assert bits[0] == bits[2] != bits[1] == bits[3], objective
+
+    def test_equal_action_bytes_of_another_shape(self):
+        rng = np.random.default_rng(12)
+        base = helpers.random_model(rng, min_states=4, max_states=4, min_actions=2,
+                                    max_actions=2, min_horizon=3, max_horizon=3)
+        short = dataclasses.replace(base, policies=PolicySet(
+            (Policy((0, 0)), Policy((1, 1)), Policy((1, 0)))))
+        long = dataclasses.replace(base, horizon=4, policies=PolicySet(
+            (Policy((0, 0, 1)), Policy((1, 1, 0)))))
+        assert short.policies.actions.tobytes() == long.policies.actions.tobytes()
+        q_now = helpers.random_categorical(rng, 4)
+        for model in (short, long, short):
+            self._scores_bits(model, q_now, ObjectiveKind.EXPECTED_FREE_ENERGY)
 
 
 def _assert_summed_is_the_sum_of_breakdowns(scores) -> None:
