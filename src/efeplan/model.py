@@ -287,8 +287,8 @@ class ModelEnvironment:
 # cycle is numerically exact.
 # ---------------------------------------------------------------------------
 
-_REQUIRED_KEYS = ("num_states", "num_outcomes", "num_actions", "horizon",
-                  "A", "B", "C", "D", "policies")
+_DIMENSIONS = ("num_states", "num_outcomes", "num_actions", "horizon")
+_REQUIRED_KEYS = (*_DIMENSIONS, "A", "B", "C", "D", "policies")
 
 
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
@@ -327,13 +327,27 @@ def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) ->
     return out.reshape(shape)
 
 
-def _optional_labels(doc: dict, key: str, length: int) -> tuple[str, ...] | None:
-    raw = doc.get(key)
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or len(raw) != length or not all(isinstance(s, str) for s in raw):
+def _dimension(key: str, value) -> int:
+    """value if it is a positive int, not a bool; the rule both load_spec and
+    save_spec apply."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        shown = _int_text(value) if type(value) is int else repr(value)
+        raise ModelSpecError(f"{key} must be a positive integer, got {shown}")
+    return value
+
+
+def _labels(key: str, raw, length: int) -> tuple[str, ...]:
+    """raw as a tuple if it is a list or tuple of length strings; the rule both
+    load_spec and save_spec apply."""
+    if (not isinstance(raw, (list, tuple)) or len(raw) != length
+            or not all(isinstance(s, str) for s in raw)):
         raise ModelSpecError(f"{key} must be a list of {length} strings")
     return tuple(raw)
+
+
+def _optional_labels(doc: dict, key: str, length: int) -> tuple[str, ...] | None:
+    raw = doc.get(key)
+    return None if raw is None else _labels(key, raw, length)
 
 
 def load_spec(path) -> GenerativeModel:
@@ -353,15 +367,7 @@ def load_spec(path) -> GenerativeModel:
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise ModelSpecError(f"missing required key: {key}")
-    dims = {}
-    for key in ("num_states", "num_outcomes", "num_actions", "horizon"):
-        value = doc[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            shown = _int_text(value) if type(value) is int else repr(value)
-            raise ModelSpecError(f"{key} must be a positive integer, got {shown}")
-        dims[key] = value
-    n_s, n_o, n_u, horizon = (dims[k] for k in
-                              ("num_states", "num_outcomes", "num_actions", "horizon"))
+    n_s, n_o, n_u, horizon = (_dimension(key, doc[key]) for key in _DIMENSIONS)
 
     a = _require_array("A", doc["A"], (n_o, n_s), nonnegative=True)
     raw_b = doc["B"]
@@ -422,21 +428,28 @@ def load_spec(path) -> GenerativeModel:
 
 
 def save_spec(model: GenerativeModel, path) -> None:
-    """Write a model spec file that load_spec reads back exactly."""
+    """Write a model spec file that load_spec reads back exactly.
+
+    Dimensions and labels that load_spec would refuse raise ModelSpecError
+    before the file is opened, so every value left is one json encodes. The
+    document is streamed to the file, so the encoder holds about the file's
+    size in memory, not a list of all its pieces."""
     doc: dict = {
-        "num_states": model.num_states,
-        "num_outcomes": model.num_outcomes,
-        "num_actions": model.num_actions,
-        "horizon": model.horizon,
+        **{key: _dimension(key, getattr(model, key)) for key in _DIMENSIONS},
         "A": model.likelihood.tolist(),
         "B": [b.tolist() for b in model.transitions],
         "C": model.preferences.tolist(),
         "D": model.state_prior.probs.tolist(),
         "policies": [list(p.actions) for p in model.policies],
     }
-    for key in ("state_labels", "outcome_labels", "action_labels"):
+    for key, length in (("state_labels", model.num_states),
+                        ("outcome_labels", model.num_outcomes),
+                        ("action_labels", model.num_actions)):
         if getattr(model, key) is not None:
-            doc[key] = list(getattr(model, key))
+            doc[key] = list(_labels(key, getattr(model, key), length))
     if model.risk_state_prior is not None:
         doc["risk_state_prior"] = model.risk_state_prior.probs.tolist()
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    # indent makes json use its Python encoder: dumps would join every piece at once
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")

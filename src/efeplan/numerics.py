@@ -101,6 +101,11 @@ def softmax(logits, precision: float = 1.0) -> Categorical:
     precision = 0 gives the uniform distribution; a precision so large that
     the scaled gaps overflow gives the argmax limit (uniform over the ties).
     """
+    return Categorical(_softmax_probs(logits, precision))
+
+
+def _softmax_probs(logits, precision: float) -> np.ndarray:
+    """softmax's probabilities as an array, after its checks on the arguments."""
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1 or z.size < 1:
         raise ValueError(f"logits must be a nonempty vector, got shape {z.shape}")
@@ -109,10 +114,10 @@ def softmax(logits, precision: float = 1.0) -> Categorical:
     if not (np.isfinite(precision) and precision >= 0.0):
         raise ValueError(f"precision must be a nonnegative real, got {precision!r}")
     if precision == 0.0:  # even where the gaps below overflow
-        return Categorical(np.full(z.size, 1.0 / z.size))
+        return np.full(z.size, 1.0 / z.size)
     with np.errstate(over="ignore"):
         e = np.exp(precision * (z - z.max()))
-    return Categorical(e / e.sum())
+    return e / e.sum()
 
 
 def _kl(p: np.ndarray, log_q: np.ndarray) -> float:

@@ -24,11 +24,11 @@ from .numerics import (
     Categorical,
     _column_entropies,
     _kl,
+    _softmax_probs,
     clamped_log,
     entropy,
     kl_divergence,
     log_sum_exp,
-    softmax,
 )
 
 TIE_TOLERANCE = 1e-9  # default gap below the top action probability that still ties
@@ -367,9 +367,8 @@ def policy_posterior(
     scores = g[viable]
     if not np.isfinite(scores).all():
         raise ValueError("scores of viable policies must be finite")
-    kept = softmax(-scores, precision)
     probs = np.zeros(len(policies))
-    probs[viable] = kept.probs
+    probs[viable] = _softmax_probs(-scores, precision)
     return Categorical(probs)
 
 

@@ -389,3 +389,25 @@ def records_json_by_dumps(config: dict, tables: dict) -> str:
         doc[name] = [{key: _jsonable_by_old_rule(value) for key, value in zip(header, row)}
                      for row in rows]
     return json.dumps(doc, indent=2) + "\n"
+
+
+def spec_text_by_dumps(model: GenerativeModel) -> str:
+    """A spec file's text as json.dumps(indent=2) writes the document at once;
+    an oracle for save_spec's streamed writer."""
+    doc: dict = {
+        "num_states": model.num_states,
+        "num_outcomes": model.num_outcomes,
+        "num_actions": model.num_actions,
+        "horizon": model.horizon,
+        "A": model.likelihood.tolist(),
+        "B": [b.tolist() for b in model.transitions],
+        "C": model.preferences.tolist(),
+        "D": model.state_prior.probs.tolist(),
+        "policies": [list(p.actions) for p in model.policies],
+    }
+    for key in ("state_labels", "outcome_labels", "action_labels"):
+        if getattr(model, key) is not None:
+            doc[key] = list(getattr(model, key))
+    if model.risk_state_prior is not None:
+        doc["risk_state_prior"] = model.risk_state_prior.probs.tolist()
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,6 +1,9 @@
 """Model validation and spec-file round trips."""
 import dataclasses
+import hashlib
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +375,57 @@ class TestRoundTrip:
         save_spec(with_prior, path)
         loaded = load_spec(path)
         assert np.allclose(loaded.risk_state_prior.probs, 1 / 8)
+
+    def test_saved_bytes_equal_dumps(self, tmp_path):
+        maze = build_tmaze_model()
+        rng = np.random.default_rng(23)
+        models = [maze, dataclasses.replace(maze, risk_state_prior=Categorical(np.full(8, 1 / 8)))]
+        for i in range(20):
+            model = helpers.random_model(rng, risk_prior=i % 2 == 1)
+            models.append(dataclasses.replace(
+                model,
+                state_labels=tuple(f"s{j}" for j in range(model.num_states)),
+                outcome_labels=tuple(f"o\u00e9\"{j}" for j in range(model.num_outcomes)),
+                action_labels=tuple(f"a {j}" for j in range(model.num_actions)),
+            ))
+        path = tmp_path / "model.json"
+        for model in models:
+            save_spec(model, path)
+            assert path.read_bytes() == helpers.spec_text_by_dumps(model).encode()
+        # the digest CI checks the console script's maze spec against
+        save_spec(maze, path)
+        pinned = (Path(__file__).parent / "data" / "maze_spec.sha256").read_text().split()[0]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned
+
+    def test_save_peaks_near_the_file_size(self, tmp_path):
+        model = helpers.random_model(np.random.default_rng(5), min_states=128, max_states=128,
+                                     min_actions=1, max_actions=1)
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            save_spec(model, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size
+
+    @pytest.mark.parametrize("changes,message", [
+        ({"state_labels": tuple(range(8))}, "state_labels must be a list of 8 strings"),
+        ({"state_labels": ("left", "right")}, "state_labels must be a list of 8 strings"),
+        ({"action_labels": ("c", "l", "r", object())}, "action_labels must be a list of 4 strings"),
+        ({"state_labels": "abcdefgh"}, "state_labels must be a list of 8 strings"),
+        ({"num_states": np.int64(8)}, f"num_states must be a positive integer, got {np.int64(8)!r}"),
+        ({"horizon": 3.0}, "horizon must be a positive integer, got 3.0"),
+        ({"num_actions": True}, "num_actions must be a positive integer, got True"),
+    ], ids=["int labels", "two labels", "object label", "string", "numpy dim", "float dim",
+            "bool dim"])
+    def test_refused_save_leaves_the_file_unchanged(self, tmp_path, changes, message):
+        path = tmp_path / "maze.json"
+        path.write_bytes(b"an earlier file\n")
+        with pytest.raises(ModelSpecError) as info:
+            save_spec(dataclasses.replace(build_tmaze_model(), **changes), path)
+        assert str(info.value) == message
+        assert path.read_bytes() == b"an earlier file\n"
 
 
 # (key, entry replaced or None for the whole value, new value, exact message)
