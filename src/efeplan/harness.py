@@ -23,7 +23,6 @@ import numpy as np
 
 from .inference import bma_beliefs, filter_step
 from .model import GenerativeModel, ModelEnvironment, ModelSpecError, load_spec
-from .numerics import Categorical
 from .planning import (
     TIE_TOLERANCE,
     EfeBreakdown,
@@ -161,8 +160,7 @@ def _plan_epoch(
     predicted: list[np.ndarray | None] = [None] * len(policies)
     planning = epoch < model.horizon
     if planning:
-        summed, paths, _, states = _score_tree(model, Categorical(now),
-                                               policies.actions[viable, epoch - 1:], epoch,
+        summed, paths, _, states = _score_tree(model, now, policies.actions[viable, epoch - 1:],
                                                config.agent)
         g[viable] = summed[:, -1]
         for i, sums, table in zip(viable, summed.tolist(), states[paths]):

@@ -79,19 +79,12 @@ class PlanContext:
             )
 
     def viable(self, policies: PolicySet) -> list[int]:
-        """Indices of the policies whose action prefix matches the executed actions.
-
-        The context keeps its answer for the last policy set it was asked about,
-        so planning an epoch and its policy posterior scan the policies once."""
-        last = self.__dict__.get("_viable")
-        if last is None or last[0] is not policies:
-            executed = self.executed_actions
-            actions = policies.actions
-            kept = ([] if actions.shape[1] < len(executed) else
-                    (actions[:, : len(executed)] == executed).all(axis=1).nonzero()[0].tolist())
-            last = (policies, tuple(kept))
-            object.__setattr__(self, "_viable", last)
-        return list(last[1])
+        """Indices of the policies whose action prefix matches the executed actions."""
+        executed = self.executed_actions
+        actions = policies.actions
+        if actions.shape[1] < len(executed):
+            return []
+        return (actions[:, : len(executed)] == executed).all(axis=1).nonzero()[0].tolist()
 
 
 def _check_states(name: str, belief: Categorical, model: GenerativeModel) -> None:
@@ -242,27 +235,24 @@ def _tree_layout(num_actions: int, shape: tuple[int, int], key: bytes):
 
 def _score_tree(
     model: GenerativeModel,
-    q_now: Categorical,
+    q: np.ndarray,
     actions: np.ndarray,
-    epoch: int,
     objective: ObjectiveKind,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Predict and score the tree of remaining-action prefixes as arrays.
 
-    actions[i] holds policy i's actions after epoch. The tree's layout comes
-    from _tree_layout, once per actions array; each of its steps predicts the
-    nodes one action makes from their parents' unnormalised rollouts with one
-    stacked product. Then every node is scored in one batch with the public
-    term functions' arithmetic, to the bit, from the model's cached constants.
+    q is the present state belief and actions an np.intp array whose row i
+    holds policy i's actions after the present epoch; score_policies checks
+    both. The tree's layout comes from _tree_layout, once per actions array;
+    each of its steps predicts the nodes one action makes from their parents'
+    unnormalised rollouts with one stacked product. Then every node is scored
+    in one batch with the public term functions' arithmetic, to the bit, from
+    the model's cached constants.
     Returns (summed, paths, parts, states): policy i's terms summed over its
     steps, in EfeBreakdown's field order; the node of its step k at
     paths[i, k]; and a node's terms and normalised prediction at parts[j] and
     states[j].
     """
-    objective = ObjectiveKind(objective)
-    if epoch >= model.horizon:
-        raise ValueError(f"no future timesteps to plan at epoch {epoch} of {model.horizon}")
-    _check_states("q_now", q_now, model)
     log_prior = model.log_risk_prior
     if objective in (ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY) and (
             log_prior is None):
@@ -270,10 +260,9 @@ def _score_tree(
             f"objective {objective.value} needs a model that defines risk_state_prior"
         )
 
-    actions = np.asarray(actions, dtype=np.intp)
     steps, paths, rows = _tree_layout(model.num_actions, actions.shape, actions.tobytes())
     raw = np.empty((rows, model.num_states))  # unnormalised rollouts
-    raw[0] = q_now.probs
+    raw[0] = q
     for a, parents, start, stop in steps:
         raw[start:stop] = np.matmul(model.transitions[a][None], raw[parents, :, None])[..., 0]
 
@@ -321,10 +310,14 @@ def score_policies(
     objectives, which score against it, are refused. An objective's name, such
     as "efe", is taken as its member.
     """
+    objective = ObjectiveKind(objective)
     t = plan_ctx.current_epoch
+    if t >= model.horizon:
+        raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
+    _check_states("q_now", q_now, model)
     actions = np.array([p.actions[t - 1:] for p in policies], dtype=np.intp)
     summed, paths, parts, states = _score_tree(
-        model, q_now, actions.reshape(len(policies), max(model.horizon - t, 0)), t, objective)
+        model, q_now.probs, actions.reshape(len(policies), model.horizon - t), objective)
     breakdowns = [EfeBreakdown(*row) for row in parts.tolist()]
     return [PolicyScore(summed=EfeBreakdown(*sums),
                         breakdowns=tuple(breakdowns[j] for j in path), states=states[path])

@@ -380,6 +380,51 @@ class TestScorePolicies:
                            PlanContext(current_epoch=1), "nope")
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("objective, epoch, prior, error, message", [
+        ("nope", 3, False, ValueError, "'nope' is not a valid ObjectiveKind"),
+        ("efe", 3, False, ValueError, "no future timesteps to plan at epoch 3 of 3"),
+        ("klc", 1, False, ValueError, "q_now has 7 states, the model has 8"),
+        ("klc", 1, True, ConfigurationError, "objective klc needs a model that defines"),
+    ])
+    def test_refusals_keep_their_order(self, objective, epoch, prior, error, message):
+        # each case also has every fault whose check comes later
+        model = build_tmaze_model()
+        q_now = model.state_prior if prior else Categorical(np.full(7, 1 / 7))
+        ctx = PlanContext(current_epoch=epoch, executed_actions=(3, 1)[: epoch - 1])
+        with pytest.raises(error) as info:
+            score_policies(model, q_now, model.policies, ctx, objective)
+        assert type(info.value) is error
+        assert message in str(info.value)
+
+
+class TestPlanContext:
+    def test_holds_its_two_fields_alone(self):
+        model = build_tmaze_model()
+        ctx = PlanContext(current_epoch=2, executed_actions=(3,))
+        assert ctx.viable(model.policies) == [6, 7, 8, 9]
+        assert sorted(vars(ctx)) == ["current_epoch", "executed_actions"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_viable_matches_the_prefix_scan(self, seed, data):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(rng, max_horizon=4, all_policies=seed % 2 == 0)
+        policies = model.policies
+        # a policy's prefix, or any actions, up to one more than the policies hold
+        length = data.draw(st.integers(0, model.horizon), label="length")
+        executed = tuple(data.draw(st.one_of(
+            st.sampled_from(policies.policies).map(lambda p: p.actions[:length]),
+            st.lists(st.integers(0, model.num_actions - 1), min_size=length,
+                     max_size=length)), label="executed"))
+        ctx = PlanContext(current_epoch=len(executed) + 1, executed_actions=executed)
+        want = [i for i, p in enumerate(policies) if p.actions[: len(executed)] == executed]
+        assert ctx.viable(policies) == want
+
+    def test_an_executed_prefix_longer_than_the_policies_keeps_none(self):
+        model = build_tmaze_model()
+        ctx = PlanContext(current_epoch=4, executed_actions=(3, 1, 1))
+        assert ctx.viable(model.policies) == []
+
 
 def _scores_as_bits(scores) -> list:
     """Per policy: G, each breakdown field and the predicted states, as exact bits."""
