@@ -16,6 +16,7 @@ from .harness import (
     ExperimentConfig,
     _plans,
     _scheduled_trial,
+    _trial_rngs,
     emit_plot_data,
     run_experiment,
     write_records,
@@ -140,7 +141,8 @@ def _cmd_trial(args) -> int:
     if args.trial < 1:
         raise UsageError(f"--trial must be >= 1, got {args.trial}")
     model, memo = _plans(config)  # the memo run_experiment plans through
-    record = _scheduled_trial(model, ModelEnvironment(model), config, args.trial, memo=memo)
+    [rngs] = _trial_rngs(config.seed, [args.trial])
+    record = _scheduled_trial(model, ModelEnvironment(model), config, args.trial, rngs, memo=memo)
 
     print(f"trial {record.trial}: context={CONTEXT_LABELS[record.true_context]} "
           f"agent={config.agent.value}")

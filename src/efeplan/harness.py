@@ -15,6 +15,7 @@ import math
 import operator
 import os
 import time
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -269,18 +270,98 @@ def _plans(config: ExperimentConfig) -> tuple[GenerativeModel, dict]:
     return model, {}
 
 
-def _trial_rngs(seed: int, trial: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """(environment, tie-break) generators of a 1-based trial.
+# Child k of SeedSequence(seed).spawn is SeedSequence(seed, spawn_key=(k,)),
+# whose PCG64 state hashes the seed's 32-bit words, zero-padded to the pool's 4,
+# then k's words. Only the words after the pool differ between children, so the
+# seed's pool is hashed once in Python ints and every key's words in one pass of
+# uint32 arrays: numpy's arithmetic, step for step, at a fraction of its cost.
+_M32 = 0xFFFF_FFFF
+
+
+def _words(n: int) -> list[int]:
+    """n's 32-bit words, least significant first, as SeedSequence splits it ([0] for 0)."""
+    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """init * mult**i modulo 2**32 for i in 0..count: a hash's running constant."""
+    return tuple(init * pow(mult, i, 1 << 32) & _M32 for i in range(count + 1))
+
+
+def _hashed(value, const, next_const):
+    """SeedSequence's hash step (hashmix, or one word of generate_state) of uint32 value(s)."""
+    value = (value ^ const) * next_const & _M32
+    return value ^ value >> 16
+
+
+def _mixed(x, y):
+    """SeedSequence's mix of uint32 value(s) x and y."""
+    value = (0xCA01_F9DD * x - 0x4973_F715 * y) & _M32
+    return value ^ value >> 16
+
+
+def _spawned_states(seed: int, keys: Sequence[int]) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64) for each key k, as rows."""
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))  # the pool's padding when a spawn key follows
+    width = len(_words(max(keys)))
+    key_words = np.array([[k >> shift & _M32 for k in keys] for shift in range(0, 32 * width, 32)],
+                         dtype=np.uint32)  # row j: each key's word j, 0 past its last word
+    a = _hash_consts(0x43B0_D7E5, 0x931E_8875, 4 * (len(entropy) + width))
+    pool = [_hashed(word, a[i], a[i + 1]) for i, word in enumerate(entropy[:4])]
+    n = 4  # hashmix calls so far
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = _mixed(pool[dst], _hashed(pool[src], a[n], a[n + 1]))
+        n += 1
+    for word in entropy[4:]:
+        pool = [_mixed(p, _hashed(word, a[n + d], a[n + d + 1])) for d, p in enumerate(pool)]
+        n += 4
+    pool, a = np.array(pool, dtype=np.uint32), np.array(a, dtype=np.uint32)
+    for j, column in enumerate(key_words):
+        mixed = _mixed(pool, _hashed(column[:, None], a[n:n + 4], a[n + 1:n + 5]))
+        # a key mixes in its word j only if it has one: a later word is nonzero
+        pool = np.where(key_words[j:].any(axis=0)[:, None], mixed, pool) if j else mixed
+        n += 4
+    b = np.array(_hash_consts(0x8B51_F9DD, 0x58F3_8DED, 8), dtype=np.uint32)
+    state = _hashed(np.tile(pool, 2), b[:-1], b[1:])  # the pool, cycled to 8 words
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache  # built on first use: importing numpy.random costs every process
+def _ready_seed():
+    """A seed sequence that hands PCG64 a state already generated."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ReadySeed(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state  # PCG64 asks for 4 np.uint64 words
+
+    return ReadySeed
+
+
+_SEEDED_TRIALS = 1024  # trials per seeding pass: a long run never holds all its states
+
+
+def _trial_rngs(
+    seed: int, trials: Sequence[int]
+) -> Iterator[tuple[np.random.Generator, np.random.Generator]]:
+    """(environment, tie-break) generators of each 1-based trial, in order.
 
     They are children 2(trial-1) and 2(trial-1)+1 of the master seed, the
-    same streams SeedSequence(seed).spawn makes, built without spawning the
-    children of earlier trials.
+    same streams SeedSequence(seed).spawn makes. Their states come from one
+    _spawned_states pass per _SEEDED_TRIALS trials; each pair is built as the
+    caller takes it.
     """
-    first = 2 * (trial - 1)
-    return (
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first,))),
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(first + 1,))),
-    )
+    ready = _ready_seed()
+    for start in range(0, len(trials), _SEEDED_TRIALS):
+        block = trials[start:start + _SEEDED_TRIALS]
+        states = _spawned_states(seed, [2 * (t - 1) + j for t in block for j in (0, 1)])
+        rngs = (np.random.Generator(np.random.PCG64(ready(state))) for state in states)
+        yield from zip(rngs, rngs)
 
 
 def _scheduled_trial(
@@ -288,11 +369,13 @@ def _scheduled_trial(
     env: ModelEnvironment,
     config: ExperimentConfig,
     trial: int,
+    rngs: tuple[np.random.Generator, np.random.Generator],
     cumulative_before: int = 0,
     memo: dict | None = None,
 ) -> TrialRecord:
-    """Trial `trial` of config's schedule: set its generators and context, then run it."""
-    env.rng, tie_rng = _trial_rngs(config.seed, trial)
+    """Trial `trial` of config's schedule: set its (environment, tie-break)
+    generators rngs and its context, then run it."""
+    env.rng, tie_rng = rngs
     env.reset(state_index(default_context(trial), CENTER))
     return run_trial(
         model, env, config, tie_rng, trial=trial, cumulative_before=cumulative_before, memo=memo
@@ -311,8 +394,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     records: list[TrialRecord] = []
     cumulative = 0
     env = ModelEnvironment(model)  # each trial sets its generator
-    for trial in range(1, config.trials + 1):
-        record = _scheduled_trial(model, env, config, trial, cumulative, memo)
+    trials = range(1, config.trials + 1)
+    for trial, rngs in zip(trials, _trial_rngs(config.seed, trials)):
+        record = _scheduled_trial(model, env, config, trial, rngs, cumulative, memo)
         cumulative = record.cumulative_score
         records.append(record)
 
@@ -381,30 +465,39 @@ class _Rows:
                 yield [*lead, *tail]
 
 
-def _rendered_rows(rows, cell_texts, sep: str) -> list[str]:
-    """sep.join(cell_texts(cells, index of the first cell)) for each row.
+def _rendered_rows(rows, cell_texts, sep: str, rowsep: str) -> list[str]:
+    """Runs of rows, each row sep.join(cell_texts(cells, index of the first
+    cell)) and the rows of a run joined by rowsep; empty when rows are.
 
     The one place a `_Rows` source is derived and rendered: once per distinct
     source per write, in a dict keyed by id(source), which the spans keep alive.
     Never key by value: 0.0 == -0.0 and 1 == 1.0 hash alike but render apart.
+    A source's tails are joined once, each cell after a sep, so a span's rows
+    are its head joined before each tail in one join.
     """
     if not isinstance(rows, _Rows):
         return [sep.join(cell_texts(row, 0)) for row in rows]
-    tails: dict[int, list[list[str]]] = {}
-    lines = []
+    tails: dict[int, list[str]] = {}
+    runs = []
     for lead, source in rows.spans:
         texts = tails.get(id(source))
         if texts is None:
             first = len(lead)
-            texts = tails[id(source)] = [cell_texts(tail, first) for tail in rows.derive(source)]
-        head = cell_texts(lead, 0)
-        lines += [sep.join(head + tail) for tail in texts]
-    return lines
+            texts = tails[id(source)] = [sep.join(["", *cell_texts(tail, first)])
+                                         for tail in rows.derive(source)]
+        if not texts:
+            continue
+        if lead:
+            head = sep.join(cell_texts(lead, 0))
+            runs.append(head + (rowsep + head).join(texts))
+        else:  # a row of tail cells alone has no sep before its first
+            runs.append(rowsep.join(text[len(sep):] for text in texts))
+    return runs
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = _rendered_rows(rows, lambda cells, _: list(map(_csv_cell, cells)), ",")
-    return "\n".join([",".join(header), *lines]) + "\n"
+    runs = _rendered_rows(rows, lambda cells, _: list(map(_csv_cell, cells)), ",", "\n")
+    return "\n".join([",".join(header), *runs]) + "\n"
 
 
 def _json_member(name: str, header: list[str], rows: list[list]) -> str:
@@ -414,8 +507,9 @@ def _json_member(name: str, header: list[str], rows: list[list]) -> str:
     def cell_texts(cells, first):
         return list(map(str.__add__, keys[first:], map(_json_cell, cells)))
 
-    objects = _rendered_rows(rows, cell_texts, ",\n")
-    body = "[\n    {\n" + "\n    },\n    {\n".join(objects) + "\n    }\n  ]" if objects else "[]"
+    rowsep = "\n    },\n    {\n"
+    runs = _rendered_rows(rows, cell_texts, ",\n", rowsep)
+    body = "[\n    {\n" + rowsep.join(runs) + "\n    }\n  ]" if runs else "[]"
     return f"  {encode_basestring_ascii(name)}: {body}"
 
 

@@ -314,6 +314,10 @@ def score_policies(
     t = plan_ctx.current_epoch
     if t >= model.horizon:
         raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
+    for p in policies:
+        if len(p.actions) != model.horizon - 1:
+            raise ValueError(f"{p}: policy length {len(p.actions)} does not match "
+                             f"horizon {model.horizon}")
     _check_states("q_now", q_now, model)
     actions = np.array([p.actions[t - 1:] for p in policies], dtype=np.intp)
     summed, paths, parts, states = _score_tree(

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from decimal import Decimal
@@ -205,8 +207,9 @@ class TestRunTrial:
         _save_contradicting_maze(tmp_path / "contradicting.json")
         contradicting = load_spec(tmp_path / "contradicting.json")
         env = ModelEnvironment(build_tmaze_model())
+        [rngs] = _trial_rngs(0, [12])
         with pytest.raises(ImpossibleObservationError, match="trial 12, epoch 2") as info:
-            _scheduled_trial(contradicting, env, _config(), 12)
+            _scheduled_trial(contradicting, env, _config(), 12, rngs)
         assert isinstance(info.value, ModelSpecError)
         assert (info.value.trial, info.value.epoch) == (12, 2)
         # the filter names what it saw, not a policy the agent never committed to
@@ -240,13 +243,40 @@ class TestRunTrial:
 
 class TestRunExperiment:
     def test_trial_rngs_match_spawned_children(self):
-        for seed in (0, 1, 7919, 2**40 + 3):
-            for trial in (1, 2, 13, 50):
-                children = np.random.SeedSequence(seed).spawn(2 * trial)
+        for seed in (0, 1, 7919, 2**40 + 3, 2**64 + 1, 2**128 + 51):
+            trials = (1, 2, 13, 50)
+            children = np.random.SeedSequence(seed).spawn(2 * max(trials))
+            for trial, pair in zip(trials, _trial_rngs(seed, trials), strict=True):
                 expected = [np.random.default_rng(children[2 * (trial - 1) + j]).random(4)
                             for j in (0, 1)]
-                got = [rng.random(4) for rng in _trial_rngs(seed, trial)]
+                got = [rng.random(4) for rng in pair]
                 assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (seed, trial)
+            # spawn's child k is SeedSequence(seed, spawn_key=(k,)); from trial
+            # 2**31 + 1 on, k takes two 32-bit words
+            trials = (2**31, 2**31 + 1, 2**40)
+            for trial, pair in zip(trials, _trial_rngs(seed, trials), strict=True):
+                expected = [np.random.default_rng(np.random.SeedSequence(
+                    seed, spawn_key=(2 * (trial - 1) + j,))).random(4) for j in (0, 1)]
+                got = [rng.random(4) for rng in pair]
+                assert all(np.array_equal(a, b) for a, b in zip(got, expected)), (seed, trial)
+        # a run longer than one seeding pass goes on with the same children
+        trials = range(1, harness._SEEDED_TRIALS + 3)
+        children = np.random.SeedSequence(3).spawn(2 * len(trials))
+        got = [rng.random(2) for pair in _trial_rngs(3, trials) for rng in pair]
+        assert all(np.array_equal(a, np.random.default_rng(child).random(2))
+                   for a, child in zip(got, children, strict=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 9, 2**96 - 1, 2**96,
+                                          2**128 + 5, 2**160 + 7, 2**200 + 12345]),
+                          st.integers(0, 2**192 - 1)),
+           keys=st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**40, 2**64]),
+                                   st.integers(0, 2**96)), min_size=1, max_size=8))
+    def test_spawned_states_match_seed_sequence(self, seed, keys):
+        got = harness._spawned_states(seed, keys)
+        for key, row in zip(keys, got, strict=True):
+            want = np.random.SeedSequence(seed, spawn_key=(key,)).generate_state(4, np.uint64)
+            assert row.dtype == want.dtype and np.array_equal(row, want), (seed, key)
 
     def test_schedule_is_applied(self, efe_record):
         for trial in efe_record.trials:
@@ -387,8 +417,8 @@ def _memo_free_trials(config: ExperimentConfig) -> tuple:
     model = (build_tmaze_model(config.reward_prob) if config.model_path is None
              else load_spec(config.model_path))
     trials, cumulative = [], 0
-    for trial in range(1, config.trials + 1):
-        env_rng, tie_rng = _trial_rngs(config.seed, trial)
+    schedule = range(1, config.trials + 1)
+    for trial, (env_rng, tie_rng) in zip(schedule, _trial_rngs(config.seed, schedule)):
         env = ModelEnvironment(model, env_rng)
         env.reset(state_index(default_context(trial), CENTER))
         record = run_trial(model, env, config, tie_rng, trial=trial,
@@ -504,8 +534,8 @@ class TestHistoryMemo:
         # select_action on each recorded marginal must pick the same actions
         for seed in range(32):
             config = _config(agent=ObjectiveKind(agent), seed=seed)
-            for tr in run_experiment(config).trials:
-                _, tie_rng = _trial_rngs(seed, tr.trial)
+            trials = run_experiment(config).trials
+            for tr, (_, tie_rng) in zip(trials, _trial_rngs(seed, [t.trial for t in trials])):
                 replayed = tuple(
                     select_action(Categorical(np.array(e.action_marginal)), tie_rng,
                                   config.tie_tolerance)
@@ -815,8 +845,9 @@ def _record_without_memo(config: ExperimentConfig) -> ExperimentRecord:
     model, _ = _plans(config)
     env = ModelEnvironment(model)
     trials, cumulative = [], 0
-    for trial in range(1, config.trials + 1):
-        trials.append(_scheduled_trial(model, env, config, trial, cumulative))
+    schedule = range(1, config.trials + 1)
+    for trial, rngs in zip(schedule, _trial_rngs(config.seed, schedule)):
+        trials.append(_scheduled_trial(model, env, config, trial, rngs, cumulative))
         cumulative = trials[-1].cumulative_score
     return ExperimentRecord(config=config, trials=tuple(trials), final_score=cumulative,
                             duration_seconds=0.0)
@@ -946,6 +977,19 @@ class TestParseCli:
         assert config.seed == 7
         assert config.precision == 1.0
         assert config.reward_prob == 0.98
+
+    def test_importing_the_cli_and_building_the_maze_leaves_numpy_random_unloaded(self):
+        # importing numpy.random lengthens start-up: a run pays for it when it
+        # builds its first generator, not every process that imports efeplan
+        src = str(Path(harness.__file__).parents[1])
+        code = ("import sys, efeplan, efeplan.cli\n"
+                "from efeplan.model import validate\n"
+                "from efeplan.tmaze import build_tmaze_model\n"
+                "validate(build_tmaze_model())\n"
+                "print('numpy.random' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout.strip() == "False", done.stderr
 
     @pytest.mark.parametrize("command", ["run", "trial"])
     def test_flag_defaults_are_the_config_defaults(self, command):

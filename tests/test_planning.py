@@ -584,6 +584,59 @@ class TestScoreSums:
         _assert_summed_is_the_sum_of_breakdowns([scored])
 
 
+def _totals(model, q_now, objective) -> np.ndarray:
+    """G of each of the model's policies at epoch 1."""
+    scores = score_policies(model, q_now, model.policies, PlanContext(current_epoch=1), objective)
+    return np.array([s.total for s in scores])
+
+
+class TestPaperReductions:
+    """The abstract's two limits at the scorer: without preferences, efe is
+    information gain (eig); without ambiguity and uncertainty, it is expected
+    utility (eu)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(-50.0, 50.0))
+    def test_flat_preferences_shift_efe_from_eig_by_a_constant(self, seed, c):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(rng, min_horizon=2, max_horizon=4, all_policies=True)
+        model = dataclasses.replace(model, preferences=np.full(model.num_outcomes, c))
+        q_now = helpers.random_categorical(rng, model.num_states)
+        efe = _totals(model, q_now, ObjectiveKind.EXPECTED_FREE_ENERGY)
+        eig = _totals(model, q_now, ObjectiveKind.INFO_GAIN_ONLY)
+        shift = (model.horizon - 1) * math.log(model.num_outcomes)
+        assert np.abs(efe - eig - shift).max() <= 1e-12
+        ctx = PlanContext(current_epoch=1)
+        posteriors = [policy_posterior(g, model.policies, ctx).probs for g in (efe, eig)]
+        assert np.abs(posteriors[0] - posteriors[1]).max() <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_no_ambiguity_and_no_uncertainty_make_efe_eu_to_the_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(rng, min_horizon=2, max_horizon=4, all_policies=True,
+                                     deterministic_likelihood=True)
+        n = model.num_states
+        moves = [np.eye(n)[:, rng.integers(0, n, size=n)] for _ in model.transitions]
+        model = dataclasses.replace(model, transitions=tuple(moves))
+        q_now = Categorical(np.eye(n)[rng.integers(0, n)])
+        efe = _totals(model, q_now, ObjectiveKind.EXPECTED_FREE_ENERGY)
+        eu = _totals(model, q_now, ObjectiveKind.EXPECTED_UTILITY_OUTCOMES)
+        assert [g.hex() for g in efe.tolist()] == [g.hex() for g in eu.tolist()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_no_ambiguity_leaves_efe_at_most_eu(self, seed):
+        # the gap is minus the predicted outcomes' entropy: efe's epistemic bonus
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(rng, min_horizon=2, max_horizon=4, all_policies=True,
+                                     deterministic_likelihood=True)
+        q_now = helpers.random_categorical(rng, model.num_states)
+        efe = _totals(model, q_now, ObjectiveKind.EXPECTED_FREE_ENERGY)
+        eu = _totals(model, q_now, ObjectiveKind.EXPECTED_UTILITY_OUTCOMES)
+        assert (efe <= eu).all()
+
+
 class TestPolicyPosterior:
     def test_equal_scores_give_uniform(self):
         model = build_tmaze_model()

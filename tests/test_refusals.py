@@ -11,8 +11,10 @@ from efeplan.planning import (
     action_marginal,
     ambiguity,
     evidence_bound_diagnostic,
+    expected_free_energy,
     extrinsic_value,
     policy_posterior,
+    score_policies,
 )
 from efeplan.tmaze import build_tmaze_model
 
@@ -34,6 +36,12 @@ CASES = {
     "infer_states, a policy of the wrong length": (
         lambda: infer_states(MAZE, Policy((0,)), [(1, 0)]),
         ValueError, "policy length 1 does not match horizon 3"),
+    "score_policies, policies of unequal length": (
+        lambda: score_policies(MAZE, MAZE.state_prior, [Policy((0,)), Policy((0, 1))], CTX, "efe"),
+        ValueError, "Policy(actions=(0,)): policy length 1 does not match horizon 3"),
+    "expected_free_energy, a policy longer than the horizon": (
+        lambda: expected_free_energy(MAZE, MAZE.state_prior, Policy((0, 1, 2)), CTX, "efe"),
+        ValueError, "Policy(actions=(0, 1, 2)): policy length 3 does not match horizon 3"),
     "vfe, a belief of the wrong length": (
         lambda: vfe(MAZE, [SEVEN, MAZE.state_prior, MAZE.state_prior], [(1, 0)],
                     MAZE.policies[0]),
