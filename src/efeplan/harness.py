@@ -272,21 +272,17 @@ def _plans(config: ExperimentConfig) -> tuple[GenerativeModel, dict]:
 
 # Child k of SeedSequence(seed).spawn is SeedSequence(seed, spawn_key=(k,)),
 # whose PCG64 state hashes the seed's 32-bit words, zero-padded to the pool's 4,
-# then k's words. Only the words after the pool differ between children, so the
-# seed's pool is hashed once in Python ints and every key's words in one pass of
-# uint32 arrays: numpy's arithmetic, step for step, at a fraction of its cost.
+# then k's words. The hash up to k's words is the parent's pool, whose padding
+# hashes the same zeros: numpy hashes that pool, and every key's words and the
+# final state are hashed here in one pass of uint32 arrays, step for step.
 _M32 = 0xFFFF_FFFF
 
 
-def _words(n: int) -> list[int]:
-    """n's 32-bit words, least significant first, as SeedSequence splits it ([0] for 0)."""
-    return [n >> shift & _M32 for shift in range(0, max(n.bit_length(), 1), 32)]
-
-
-@functools.cache
-def _hash_consts(init: int, mult: int, count: int) -> tuple[int, ...]:
-    """init * mult**i modulo 2**32 for i in 0..count: a hash's running constant."""
-    return tuple(init * pow(mult, i, 1 << 32) & _M32 for i in range(count + 1))
+def _hash_consts(init: int, mult: int, start: int, stop: int) -> np.ndarray:
+    """init * mult**i modulo 2**32 for i in start..stop: a hash's running constants."""
+    steps = np.full(stop - start + 1, mult, dtype=np.uint32)
+    steps[0] = init * pow(mult, start, 1 << 32) & _M32
+    return steps.cumprod(dtype=np.uint32)
 
 
 def _hashed(value, const, next_const):
@@ -303,27 +299,17 @@ def _mixed(x, y):
 
 def _spawned_states(seed: int, keys: Sequence[int]) -> np.ndarray:
     """SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64) for each key k, as rows."""
-    entropy = _words(seed)
-    entropy += [0] * (4 - len(entropy))  # the pool's padding when a spawn key follows
-    width = len(_words(max(keys)))
+    pool = np.random.SeedSequence(seed).pool
+    width = (max(max(keys).bit_length(), 1) + 31) // 32
     key_words = np.array([[k >> shift & _M32 for k in keys] for shift in range(0, 32 * width, 32)],
                          dtype=np.uint32)  # row j: each key's word j, 0 past its last word
-    a = _hash_consts(0x43B0_D7E5, 0x931E_8875, 4 * (len(entropy) + width))
-    pool = [_hashed(word, a[i], a[i + 1]) for i, word in enumerate(entropy[:4])]
-    n = 4  # hashmix calls so far
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mixed(pool[dst], _hashed(pool[src], a[n], a[n + 1]))
-        n += 1
-    for word in entropy[4:]:
-        pool = [_mixed(p, _hashed(word, a[n + d], a[n + d + 1])) for d, p in enumerate(pool)]
-        n += 4
-    pool, a = np.array(pool, dtype=np.uint32), np.array(a, dtype=np.uint32)
+    n = 4 * max(4, (seed.bit_length() + 31) // 32)  # hashmix calls in the parent's pool
+    a = _hash_consts(0x43B0_D7E5, 0x931E_8875, n, n + 4 * width)
     for j, column in enumerate(key_words):
-        mixed = _mixed(pool, _hashed(column[:, None], a[n:n + 4], a[n + 1:n + 5]))
+        mixed = _mixed(pool, _hashed(column[:, None], a[4 * j:4 * j + 4], a[4 * j + 1:4 * j + 5]))
         # a key mixes in its word j only if it has one: a later word is nonzero
         pool = np.where(key_words[j:].any(axis=0)[:, None], mixed, pool) if j else mixed
-        n += 4
-    b = np.array(_hash_consts(0x8B51_F9DD, 0x58F3_8DED, 8), dtype=np.uint32)
+    b = _hash_consts(0x8B51_F9DD, 0x58F3_8DED, 0, 8)
     state = _hashed(np.tile(pool, 2), b[:-1], b[1:])  # the pool, cycled to 8 words
     return state.astype("<u4").view("<u8").astype(np.uint64)
 

@@ -27,6 +27,7 @@ from efeplan.cli import AGENT_NAMES, UsageError, config_from_args, main, parse_c
 from efeplan.harness import (
     ExperimentConfig,
     ExperimentRecord,
+    TrialRecord,
     _csv_text,
     _json_text,
     _plans,
@@ -63,6 +64,7 @@ from efeplan.planning import (
 from efeplan.tmaze import (
     BLACK,
     CENTER,
+    LEFT,
     WHITE,
     build_tmaze_model,
     default_context,
@@ -673,6 +675,72 @@ class TestReferenceAgent:
                     assert e.action in tied, (agent, e.epoch)
 
 
+def _posterior_gap(a: TrialRecord, b: TrialRecord) -> float:
+    """The largest difference between two trials' policy posteriors and state beliefs."""
+    return max(max(np.abs(np.subtract(e.policy_posterior, f.policy_posterior)).max(),
+                   np.abs(np.subtract(e.bma_states, f.bma_states)).max())
+               for e, f in zip(a.epochs, b.epochs, strict=True))
+
+
+class TestPaperReductionsInTheLoop:
+    """The abstract's two limits in the closed loop: without preferences the
+    efe agent acts as the eig agent, and without ambiguity and uncertainty as
+    the eu agent, on the same environment and tie-break streams."""
+
+    def test_flat_preferences_make_the_maze_efe_agent_act_as_eig(self):
+        flat = dataclasses.replace(build_tmaze_model(), preferences=np.zeros(7))
+        schedule = range(1, 51)
+        for seed in range(8):
+            runs = []
+            for agent in (ObjectiveKind.EXPECTED_FREE_ENERGY, ObjectiveKind.INFO_GAIN_ONLY):
+                config, env, memo = _config(agent=agent, seed=seed), ModelEnvironment(flat), {}
+                runs.append([_scheduled_trial(flat, env, config, trial, rngs, 0, memo)
+                             for trial, rngs in zip(schedule, _trial_rngs(seed, schedule))])
+            for efe, eig in zip(*runs, strict=True):
+                assert efe.actions == eig.actions, (seed, efe.trial)
+                assert _posterior_gap(efe, eig) <= 1e-12, (seed, efe.trial)
+
+    def test_a_certain_unambiguous_maze_makes_efe_act_as_eu_to_the_bit(self):
+        # reward probability 1 and a belief one-hot on the white centre: no
+        # outcome is ambiguous and no state uncertain
+        white_centre = state_index(WHITE, CENTER)
+        model = dataclasses.replace(build_tmaze_model(1.0),
+                                    state_prior=Categorical(np.eye(8)[white_centre]))
+        schedule = range(1, 10)
+        runs = []
+        for agent in (ObjectiveKind.EXPECTED_FREE_ENERGY, ObjectiveKind.EXPECTED_UTILITY_OUTCOMES):
+            config, env = _config(agent=agent, reward_prob=1.0), ModelEnvironment(model)
+            memo, trials = {}, []
+            for trial, (env_rng, tie_rng) in zip(schedule, _trial_rngs(0, schedule)):
+                env.rng = env_rng
+                env.reset(white_centre)
+                trials.append(run_trial(model, env, config, tie_rng, trial=trial, memo=memo))
+            runs.append(trials)
+        for efe, eu in zip(*runs, strict=True):
+            assert efe.actions == eu.actions == (LEFT, LEFT), efe.trial
+            for e, f in zip(efe.epochs, eu.epochs, strict=True):
+                assert _float_hex(e.policy_posterior) == _float_hex(f.policy_posterior)
+                assert _float_hex(e.bma_states) == _float_hex(f.bma_states)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), c=st.floats(-50.0, 50.0))
+    def test_flat_preferences_make_efe_act_as_eig(self, seed, c):
+        rng = np.random.default_rng(seed)
+        model = helpers.random_model(rng, max_outcomes=7, min_horizon=2, max_horizon=4)
+        model = dataclasses.replace(model, preferences=np.full(model.num_outcomes, c))
+        runs = []
+        for agent in (ObjectiveKind.EXPECTED_FREE_ENERGY, ObjectiveKind.INFO_GAIN_ONLY):
+            config, memo, trials = _config(agent=agent), {}, []
+            tie_rng = np.random.default_rng([seed, 1])
+            for trial in range(1, 4):
+                env = _env_from_prior(model, np.random.default_rng([seed, trial]))
+                trials.append(run_trial(model, env, config, tie_rng, trial=trial, memo=memo))
+            runs.append(trials)
+        for efe, eig in zip(*runs, strict=True):
+            assert efe.actions == eig.actions, efe.trial
+            assert _posterior_gap(efe, eig) <= 1e-12, efe.trial
+
+
 class TestWriteRecords:
     def test_row_counts(self, efe_record, tmp_path):
         write_records(efe_record, tmp_path, "csv")
@@ -903,6 +971,29 @@ def _tables(draw):
     for pick in draw(st.lists(st.integers(0, len(sources) - 1), max_size=6)):
         rows.add(draw(cells(lead)), sources[pick])
     return header, rows
+
+
+class TestBaselineKernels:
+    def test_pinned_outputs_hold_on_the_baseline_kernels(self):
+        # a record's float bits depend on OpenBLAS's kernel and numpy's SIMD
+        # log, but the pinned files, stdout and public maths values must not:
+        # rerun those checks with the oldest x86-64 OpenBLAS kernel and every
+        # dispatched SIMD feature of this numpy that the machine has turned off
+        core = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+        simd = [f for f in core.__cpu_dispatch__ if core.__cpu_features__.get(f)]
+        tests = Path(__file__).parent
+        checks = ["tests/test_harness.py::TestWriteRecords::test_run_out_files_match_goldens",
+                  "tests/test_harness.py::TestParseCli::"
+                  "test_trial_and_decompose_stdout_match_goldens",
+                  "tests/test_public_maths.py"]
+        env = {**os.environ, "PYTHONPATH": str(Path(harness.__file__).parents[1]),
+               "OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(simd)}
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               *checks], capture_output=True, text=True, env=env,
+                              cwd=tests.parent, timeout=300)
+        cases = (len(RUN_OUT_SHA256) + len(CLI_STDOUT_SHA256)
+                 + len(json.loads((tests / "data" / "public_maths.json").read_text())))
+        assert done.returncode == 0 and f"{cases} passed" in done.stdout, done.stdout[-2000:]
 
 
 class TestCellRenderers:
