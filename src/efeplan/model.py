@@ -294,16 +294,24 @@ _REQUIRED_KEYS = (*_DIMENSIONS, "A", "B", "C", "D", "policies")
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() rounds past the largest float
 
 
+def _plain(value):
+    """value with each float64 array or number in it the value json.loads returns."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return [_plain(x) for x in value] if isinstance(value, list) else value
+
+
 def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray:
     """Check a JSON vector (shape (n,)) or matrix (shape (rows, cols)) of numbers
-    and convert it. JSON numbers arrive as exact ints and floats, never bools."""
+    and convert it. JSON numbers arrive as exact ints and floats, never bools; a
+    row of floats alone arrives as a float64 array, which needs no type check."""
     vector = len(shape) == 1
-    if not isinstance(raw, list) or len(raw) != shape[0]:
+    if not isinstance(raw, (list, np.ndarray)) or len(raw) != shape[0]:
         raise ModelSpecError(f"{name} must be a list of {_int_text(shape[0])} "
                              f"{'numbers' if vector else 'rows'}")
     rows = [raw] if vector else raw
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != shape[-1]:
+        if not isinstance(row, (list, np.ndarray)) or len(row) != shape[-1]:
             raise ModelSpecError(f"{name} row {i} must be a list of {_int_text(shape[-1])} "
                                  "numbers")
 
@@ -311,11 +319,12 @@ def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) ->
         return f"{name}[{j}]" if vector else f"{name}[{i}][{j}]"
 
     def first(bad) -> tuple[int, int]:
-        return next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if bad(x))
+        return next((i, j) for i, row in enumerate(rows) if isinstance(row, list)
+                    for j, x in enumerate(row) if bad(x))
 
-    if not {type(x) for row in rows for x in row} <= {int, float}:
+    if not {type(x) for row in rows if isinstance(row, list) for x in row} <= {int, float}:
         i, j = first(lambda x: type(x) not in (int, float))
-        raise ModelSpecError(f"{where(i, j)} is not a number: {rows[i][j]!r}")
+        raise ModelSpecError(f"{where(i, j)} is not a number: {_plain(rows[i][j])!r}")
     try:
         out = np.array(rows, dtype=np.float64)
     except OverflowError:
@@ -323,7 +332,7 @@ def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) ->
         raise ModelSpecError(f"{where(i, j)} is an integer too large for a float") from None
     if nonnegative and (out < 0.0).any():
         i, j = np.argwhere(out < 0.0)[0]
-        raise ModelSpecError(f"{where(i, j)} = {rows[i][j]!r}: negative probability")
+        raise ModelSpecError(f"{where(i, j)} = {_plain(rows[i][j])!r}: negative probability")
     return out.reshape(shape)
 
 
@@ -350,28 +359,133 @@ def _optional_labels(doc: dict, key: str, length: int) -> tuple[str, ...] | None
     return None if raw is None else _labels(key, raw, length)
 
 
+_WINDOW = 2**16  # characters of the spec file that _SpecReader reads at a time
+_space = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an offset
+
+
+class _SpecReader:
+    """Reads a spec's top-level object from a window of its file, walking down each
+    array whose first entry is an array; json's scanner decodes every other value
+    whole, and a nonempty array of floats alone becomes a float64 array. So a load
+    holds the model's arrays and a window, not the whole text and its parse tree."""
+
+    def __init__(self, file):
+        self.file, self.text, self.at = file, "", 0
+        self.repeated = None  # the first top-level key that appears twice
+
+    def _more(self) -> bool:
+        """Append the next window to the text not yet read; False at the file's end."""
+        chunk = self.file.read(_WINDOW)
+        if chunk:
+            self.text, self.at = self.text[self.at:] + chunk, 0
+        return bool(chunk)
+
+    def _peek(self, past: int = 0) -> str:
+        """The first character that is not whitespace from self.at + past on, "" at
+        the file's end; with past 0, self.at moves to it."""
+        while (end := _space(self.text, self.at + past).end()) == len(self.text):
+            if not self._more():
+                break
+        if not past:
+            self.at = end
+        return self.text[end:end + 1]
+
+    def _take(self, marks: str) -> str:
+        mark = self._peek()
+        if not mark or mark not in marks:
+            raise ValueError(f"expected one of {marks!r}")
+        self.at += 1
+        return mark
+
+    def _decode(self):
+        """The value at self.at, decoded again with more text until the mark after it
+        is in the window: a number cut at the window's end decodes as a shorter one."""
+        while True:
+            try:
+                value, end = _scan(self.text, self.at)
+            except (ValueError, StopIteration):
+                if not self._more():
+                    raise
+                continue
+            after = _space(self.text, end).end()
+            if self.text.startswith((",", ":", "]", "}"), after) or not self._more():
+                self.at = end
+                return value
+
+    def _value(self):
+        if self._peek() == "[":
+            if self._peek(1) == "[":
+                self.at += 1
+                items = [self._value()]
+                while self._take(",]") == ",":
+                    items.append(self._value())
+                return items
+            while self.text.find("]", self.at) < 0 and self._more():
+                pass  # so that most arrays decode at the first try
+        value = self._decode()
+        if type(value) is list and value and set(map(type, value)) == {float}:
+            return np.array(value, dtype=np.float64)
+        return value
+
+    def document(self) -> dict:
+        self._take("{")
+        doc: dict = {}
+        while self._peek() == '"':
+            key = self._decode()
+            self._take(":")
+            if key in doc and self.repeated is None:
+                self.repeated = key
+            doc[key] = self._value()
+            if self._take(",}") == "}":
+                if self._peek():
+                    break
+                return doc
+        raise ValueError("expected a key, or nothing after the object")
+
+
+def _parse(path: Path):
+    """json.loads of the whole text, each failure raised as a ModelSpecError."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelSpecError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also an integer of too many digits
+        raise ModelSpecError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _read_spec(path: Path):
+    """The document json.loads returns, each array of floats alone a float64 array,
+    with a repeated top-level key refused. A document the reader fails on, json.loads
+    reads whole, so that the failure keeps its message."""
+    try:
+        with open(path, encoding="utf-8") as file:
+            reader = _SpecReader(file)
+            doc = reader.document()
+    except (ValueError, StopIteration, RecursionError):  # a UnicodeDecodeError is a ValueError
+        return _parse(path)
+    if reader.repeated is not None:
+        raise ModelSpecError(f"spec key {json.dumps(reader.repeated)} appears twice")
+    return doc
+
+
 def load_spec(path) -> GenerativeModel:
     """Read a model spec file, checking schema and invariants."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"model spec file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ModelSpecError(f"{path} is not UTF-8 text: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-        raise ModelSpecError(f"{path} is not valid JSON: {exc}") from exc
+    doc = _read_spec(path)
     if not isinstance(doc, dict):
         raise ModelSpecError("model spec must be a key-value tree")
 
     for key in _REQUIRED_KEYS:
         if key not in doc:
             raise ModelSpecError(f"missing required key: {key}")
-    n_s, n_o, n_u, horizon = (_dimension(key, doc[key]) for key in _DIMENSIONS)
+    n_s, n_o, n_u, horizon = (_dimension(key, _plain(doc[key])) for key in _DIMENSIONS)
 
     a = _require_array("A", doc["A"], (n_o, n_s), nonnegative=True)
     raw_b = doc["B"]
-    if not isinstance(raw_b, list) or len(raw_b) != n_u:
+    if not isinstance(raw_b, (list, np.ndarray)) or len(raw_b) != n_u:
         raise ModelSpecError(f"B must be a list of {n_u} matrices")
     b = tuple(_require_array(f"B[{u}]", raw_b[u], (n_s, n_s), nonnegative=True)
               for u in range(n_u))
@@ -379,7 +493,7 @@ def load_spec(path) -> GenerativeModel:
     d = _require_array("D", doc["D"], (n_s,), nonnegative=True)
 
     raw_policies = doc["policies"]
-    if not isinstance(raw_policies, list) or not raw_policies:
+    if not isinstance(raw_policies, (list, np.ndarray)) or not len(raw_policies):
         raise ModelSpecError("policies must be a nonempty list of integer lists")
     policies: dict[Policy, int] = {}  # policy -> its index, in file order
     for i, seq in enumerate(raw_policies):

@@ -1147,6 +1147,10 @@ class TestParseCli:
         wide_horizon = tmp_path / "wide_horizon.json"  # past int()'s limit of 4300 digits
         wide_horizon.write_text(json.dumps({**maze, "horizon": 0}).replace(
             '"horizon": 0', '"horizon": 1' + "0" * 5000))
+        deep = tmp_path / "deep.json"  # past json's recursion limit
+        deep.write_text(json.dumps({**maze, "A": 0}).replace('"A": 0', '"A": ' + "[" * 100000))
+        repeated_key = tmp_path / "repeated_key.json"
+        repeated_key.write_text(json.dumps(maze)[:-1] + ', "A": ' + json.dumps(maze["A"]) + "}")
         # built from the clean maze, so each fails on its own defect alone
         named_problem = {
             str(repeated): "policies[10] = [0, 3] repeats policies[3]",
@@ -1154,6 +1158,8 @@ class TestParseCli:
             str(json_list): "model spec must be a key-value tree",
             str(huge_horizon): "overflows G",
             str(negative_horizon): "horizon must be a positive integer, got -10000",
+            str(deep): "is not valid JSON: maximum recursion depth exceeded",
+            str(repeated_key): 'spec key "A" appears twice',
         }
         # each holds an integer of hundreds of digits or more, which its message
         # must not spell out
@@ -1220,6 +1226,12 @@ class TestParseCli:
             (["validate", "--model", big_a], 2),
             (["validate", "--model", str(big_d)], 2),
             (["validate", "--model", str(big_risk)], 2),
+            (["validate", "--model", str(deep)], 2),
+            (["run", "--model", str(deep), "--trials", "1"], 2),
+            (["decompose", "--model", str(deep)], 2),
+            (["validate", "--model", str(repeated_key)], 2),
+            (["run", "--model", str(repeated_key), "--trials", "1"], 2),
+            (["decompose", "--model", str(repeated_key)], 2),
             (["decompose", "--beliefs", "1e308,1e308,1,1,1,1,1,1"], 0),
             (["validate", "--model", str(tmp_path / "absent.json")], 3),
         ]

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from efeplan import model as model_module
 from efeplan.model import (
     GenerativeModel,
     ModelEnvironment,
@@ -462,6 +463,13 @@ _ARRAY_ERRORS = [
     ("policies", (0,), ["a", 1], "policies[0] must be a list of integers"),
     ("state_labels", None, ["x"], "state_labels must be a list of 8 strings"),
     ("risk_state_prior", None, [1.0], "risk_state_prior must be a list of 8 numbers"),
+    # rows of floats alone arrive as float64 arrays, and still print as JSON values
+    ("B", (1, 2, 3), -0.25, "B[1][2][3] = -0.25: negative probability"),
+    ("D", None, [0.5, 0.5], "D must be a list of 8 numbers"),
+    ("A", (2, 3), [0.5], "A[2][3] is not a number: [0.5]"),
+    ("A", (2,), [[0.5]] * 8, "A[2][0] is not a number: [0.5]"),
+    ("num_states", None, [8.0], "num_states must be a positive integer, got [8.0]"),
+    ("policies", None, [0.5, 1.5], "policies[0] must be a list of integers"),
 ]
 
 
@@ -512,10 +520,11 @@ class TestLoadErrors:
         doc = json.loads(path.read_text())
         if where is None:
             doc[key] = value
-        elif len(where) == 1:
-            doc[key][where[0]] = value
         else:
-            doc[key][where[0]][where[1]] = value
+            target = doc[key]
+            for i in where[:-1]:
+                target = target[i]
+            target[where[-1]] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelSpecError) as info:
             load_spec(path)
@@ -529,3 +538,182 @@ class TestLoadErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelSpecError, match="likelihood column 0"):
             load_spec(path)
+
+    def test_a_repeated_key_is_refused_after_the_document_parses(self, tmp_path):
+        path = tmp_path / "maze.json"
+        save_spec(build_tmaze_model(), path)
+        text = path.read_text().rstrip()
+        a = json.dumps(json.loads(text)["A"])
+        path.write_text(f'{text[:-1]}, "A": {a}}}')
+        with pytest.raises(ModelSpecError) as info:
+            load_spec(path)
+        assert str(info.value) == 'spec key "A" appears twice'
+        path.write_text(f'{text[:-1]}, "A": {a}}} x')  # a syntax error comes first
+        with pytest.raises(ModelSpecError, match="is not valid JSON: Extra data"):
+            load_spec(path)
+
+
+# JSON documents with every kind of value, and strings that hold the marks the
+# reader looks for
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet='[]{},:" \\\néab'),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(alphabet='ab]"', max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_FLOAT_ROWS = st.lists(st.lists(st.floats(), min_size=1, max_size=3), min_size=1, max_size=3)
+# nonempty: the reader leaves "{}", which no spec is, to json.loads
+_DOCUMENTS = st.dictionaries(st.text(alphabet='ab]" ', max_size=3),
+                             _JSON_VALUES | _FLOAT_ROWS | st.lists(_FLOAT_ROWS, max_size=2),
+                             min_size=1, max_size=4)
+_WINDOWS = [1, 2, 3, 7, 64, model_module._WINDOW]
+
+
+def _same(got, want) -> bool:
+    """got is json.loads's want, but with float64 arrays for some lists of floats
+    alone; floats compare by their bits, so NaN and -0.0 count."""
+    if isinstance(got, np.ndarray):
+        return (type(want) is list and len(want) > 0 and {type(x) for x in want} == {float}
+                and got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes())
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, list):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(got, dict):
+        return list(got) == list(want) and all(_same(got[k], want[k]) for k in got)
+    if isinstance(got, float):
+        return np.float64(got).tobytes() == np.float64(want).tobytes()
+    return got == want
+
+
+def _no_whole_text_parse(path):
+    raise AssertionError(f"the reader left {path} to json.loads")
+
+
+def _read_outcome(read, path):
+    try:
+        return "doc", read(path)
+    except ModelSpecError as exc:
+        return "error", str(exc)
+
+
+class TestSpecReader:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_DOCUMENTS, indent=st.sampled_from([None, 0, 2]),
+           space=st.sampled_from(["", " ", "\n\t\r "]))
+    def test_reads_what_json_loads_reads(self, tmp_path_factory, doc, indent, space):
+        text = space + json.dumps(doc, indent=indent) + space
+        path = tmp_path_factory.mktemp("doc") / "doc.json"
+        path.write_text(text)
+        for window in _WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model_module, "_WINDOW", window)
+                patch.setattr(model_module, "_parse", _no_whole_text_parse)
+                assert _same(model_module._read_spec(path), json.loads(text)), window
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), indent=st.sampled_from([None, 2]))
+    def test_mutated_specs_read_as_json_loads_reads_them(self, tmp_path_factory, data, indent):
+        text = json.dumps(json.loads(helpers.spec_text_by_dumps(build_tmaze_model())),
+                          indent=indent)
+        for _ in range(data.draw(st.integers(1, 3))):
+            at = data.draw(st.integers(0, len(text)))
+            cut = data.draw(st.sampled_from([0, 0, 1, 2, 9]))
+            piece = data.draw(st.sampled_from(
+                ["", "[", "]", "{", "}", ",", ":", '"', "-", ".", "e", "1", " ", "\n", "true",
+                 "null", "NaN", "-Infinity", "1e400", "0" * 30, '"A": 1,', "[[", "]]"]))
+            text = text[:at] + piece + text[at + cut:]
+        path = tmp_path_factory.mktemp("spec") / "spec.json"
+        path.write_text(text)
+        try:
+            want = "doc", json.loads(text)
+        except ValueError as exc:  # the exact text load_spec has always given
+            want = "error", f"{path} is not valid JSON: {exc}"
+        for window in _WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model_module, "_WINDOW", window)
+                kind, got = _read_outcome(model_module._read_spec, path)
+                if want[0] == "error":
+                    assert _read_outcome(load_spec, path) == want, window
+            if kind == "error" and got.endswith("appears twice"):
+                assert want[0] == "doc", (window, got)
+            else:
+                assert kind == want[0], (window, got, want)
+                assert got == want[1] if kind == "error" else _same(got, want[1]), window
+
+    @pytest.mark.parametrize("text", [
+        '{"A": [[0.5]-]}', '{"A": [[0.5], [0.5]x, [0.5]]}', '{"A": 0.}', '{"A": 1e}',
+        '{"A": [[0.5]]} x', '{"A": 1} "B": 2}', '[{"A": 1}] x', '{"A": 1,}', '{"A" 1}', '{"A": [[0.5],]}',
+        '{"A": [[0.5] [0.5]]}', '{"A": [[0.5]', '{"A": [[0.5', '{"A": [[', '{"A": "]',
+        '{"A": 1' + "0" * 5000 + "}", '{"A": ' + "[" * 100000,
+    ], ids=lambda text: text[:24])
+    def test_refused_text_keeps_its_message(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises((ValueError, RecursionError)) as parse:
+            json.loads(text)
+        for window in _WINDOWS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(model_module, "_WINDOW", window)
+                with pytest.raises(ModelSpecError) as info:
+                    load_spec(path)
+            assert str(info.value) == f"{path} is not valid JSON: {parse.value}", window
+
+    def test_text_that_is_not_utf8_keeps_its_message(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"num_states": "é"}'.encode("latin-1"))
+        with pytest.raises(UnicodeDecodeError) as decode:
+            path.read_text(encoding="utf-8")
+        with pytest.raises(ModelSpecError) as info:
+            load_spec(path)
+        assert str(info.value) == f"{path} is not UTF-8 text: {decode.value}"
+
+    def test_rows_of_floats_become_arrays(self, tmp_path):
+        path = tmp_path / "maze.json"
+        save_spec(build_tmaze_model(), path)
+        doc = model_module._read_spec(path)
+        assert all(isinstance(row, np.ndarray) for row in doc["A"])
+        assert all(isinstance(row, np.ndarray) for b in doc["B"] for row in b)
+        assert isinstance(doc["C"], np.ndarray) and isinstance(doc["D"], np.ndarray)
+        assert doc["policies"] == [list(p) for p in TMAZE_POLICIES]
+
+    def test_loads_what_the_whole_text_parse_loads(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(29)
+        models = [build_tmaze_model()] + [helpers.random_model(rng, risk_prior=i % 2 == 1)
+                                          for i in range(30)]
+        path = tmp_path / "model.json"
+        for model in models:
+            save_spec(model, path)
+            loaded = [load_spec(path)]
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "_read_spec", model_module._parse)
+                loaded.append(load_spec(path))
+            ours, whole = loaded
+            for name in ("likelihood", "preferences"):
+                assert getattr(ours, name).tobytes() == getattr(whole, name).tobytes()
+            assert [b.tobytes() for b in ours.transitions] == [
+                b.tobytes() for b in whole.transitions]
+            assert ours.state_prior.probs.tobytes() == whole.state_prior.probs.tobytes()
+            assert (ours.risk_state_prior is None) == (whole.risk_state_prior is None)
+            if ours.risk_state_prior is not None:
+                assert (ours.risk_state_prior.probs.tobytes()
+                        == whole.risk_state_prior.probs.tobytes())
+            assert ours.policies == whole.policies
+            assert (ours.num_states, ours.num_outcomes, ours.num_actions, ours.horizon) == (
+                whole.num_states, whole.num_outcomes, whole.num_actions, whole.horizon)
+
+    def test_load_peaks_below_the_file_size(self, tmp_path):
+        # the whole text and its parsed tree peak near 2.1x the file's size, and
+        # the whole text beside the model's arrays near 1.3x
+        model = helpers.random_model(np.random.default_rng(5), min_states=256, max_states=256,
+                                     min_actions=2, max_actions=2)
+        path = tmp_path / "model.json"
+        save_spec(model, path)
+        tracemalloc.start()
+        try:
+            load_spec(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
