@@ -76,7 +76,19 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+class _Built:
+    """An array that load_spec built for one model alone: GenerativeModel keeps it
+    rather than copying it, as it copies every array a caller passes in."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+def _readonly(a) -> np.ndarray:
+    if isinstance(a, _Built):
+        return _frozen(a.array)
     return _frozen(np.asarray(a, dtype=np.float64).copy())
 
 
@@ -137,14 +149,17 @@ def _check_finite(name: str, array: np.ndarray, violations: list[str]) -> bool:
 def _check_columns(name: str, matrix: np.ndarray, violations: list[str]) -> None:
     if not _check_finite(name, matrix, violations):
         return
-    for col in range(matrix.shape[1]):
-        column = matrix[:, col]
-        if np.any(column < 0.0):
+    negative = (matrix < 0.0).any(axis=0)
+    # each column summed contiguously rounds as matrix[:, col].sum() does, which a
+    # sum down axis 0 does not
+    with np.errstate(over="ignore"):  # an overflowing sum is the inf reported below
+        totals = np.ascontiguousarray(matrix.T).sum(axis=1)
+    off = np.abs(totals - 1.0) > NORM_TOL
+    for col in np.flatnonzero(negative | off).tolist():
+        if negative[col]:
             violations.append(f"{name} column {col} has a negative entry")
-        with np.errstate(over="ignore"):  # an overflowing sum is the inf reported below
-            total = float(column.sum())
-        if abs(total - 1.0) > NORM_TOL:
-            violations.append(f"{name} column {col} sums to {total!r}, expected 1")
+        if off[col]:
+            violations.append(f"{name} column {col} sums to {float(totals[col])!r}, expected 1")
 
 
 _LONG = 10**20  # from here on an integer is printed by its ends and its digit count
@@ -301,10 +316,23 @@ def _plain(value):
     return [_plain(x) for x in value] if isinstance(value, list) else value
 
 
+def _read_array(raw, vector: bool) -> np.ndarray | None:
+    """The float64 array _SpecReader made of raw, None if it made none: a vector's
+    own array, or the matrix whose rows raw holds."""
+    if vector:
+        return raw if isinstance(raw, np.ndarray) else None
+    matrix = getattr(raw[0], "base", None)
+    if (isinstance(matrix, np.ndarray) and len(matrix) == len(raw)
+            and all(getattr(row, "base", None) is matrix for row in raw)):
+        return matrix
+    return None
+
+
 def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray:
     """Check a JSON vector (shape (n,)) or matrix (shape (rows, cols)) of numbers
     and convert it. JSON numbers arrive as exact ints and floats, never bools; a
-    row of floats alone arrives as a float64 array, which needs no type check."""
+    row of floats alone arrives as a float64 array, which needs no type check,
+    and an array the reader made is taken as it is, not copied."""
     vector = len(shape) == 1
     if not isinstance(raw, (list, np.ndarray)) or len(raw) != shape[0]:
         raise ModelSpecError(f"{name} must be a list of {_int_text(shape[0])} "
@@ -325,15 +353,17 @@ def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) ->
     if not {type(x) for row in rows if isinstance(row, list) for x in row} <= {int, float}:
         i, j = first(lambda x: type(x) not in (int, float))
         raise ModelSpecError(f"{where(i, j)} is not a number: {_plain(rows[i][j])!r}")
-    try:
-        out = np.array(rows, dtype=np.float64)
-    except OverflowError:
-        i, j = first(lambda x: type(x) is int and abs(x) >= _FLOAT_OVERFLOW)
-        raise ModelSpecError(f"{where(i, j)} is an integer too large for a float") from None
+    out = _read_array(raw, vector)
+    if out is None:
+        try:
+            out = np.array(raw, dtype=np.float64)
+        except OverflowError:
+            i, j = first(lambda x: type(x) is int and abs(x) >= _FLOAT_OVERFLOW)
+            raise ModelSpecError(f"{where(i, j)} is an integer too large for a float") from None
     if nonnegative and (out < 0.0).any():
-        i, j = np.argwhere(out < 0.0)[0]
+        i, j = np.argwhere(np.atleast_2d(out) < 0.0)[0]
         raise ModelSpecError(f"{where(i, j)} = {_plain(rows[i][j])!r}: negative probability")
-    return out.reshape(shape)
+    return out
 
 
 def _dimension(key: str, value) -> int:
@@ -364,10 +394,19 @@ _space = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an offset
 
 
+def _stacked(rows: list) -> list:
+    """rows as the row views of one C-contiguous float64 matrix if all are float64
+    arrays of one length, which _require_array then takes whole; else rows."""
+    if all(type(row) is np.ndarray for row in rows) and len(set(map(len, rows))) == 1:
+        return list(np.stack(rows))
+    return rows
+
+
 class _SpecReader:
     """Reads a spec's top-level object from a window of its file, walking down each
     array whose first entry is an array; json's scanner decodes every other value
-    whole, and a nonempty array of floats alone becomes a float64 array. So a load
+    whole, and a nonempty array of floats alone becomes a float64 array. Rows that
+    are such arrays of one length become views of one matrix (_stacked). So a load
     holds the model's arrays and a window, not the whole text and its parse tree."""
 
     def __init__(self, file):
@@ -420,7 +459,7 @@ class _SpecReader:
                 items = [self._value()]
                 while self._take(",]") == ",":
                     items.append(self._value())
-                return items
+                return _stacked(items)
             while self.text.find("]", self.at) < 0 and self._more():
                 pass  # so that most arrays decode at the first try
         value = self._decode()
@@ -525,9 +564,9 @@ def load_spec(path) -> GenerativeModel:
         num_outcomes=n_o,
         num_actions=n_u,
         horizon=horizon,
-        likelihood=a,
-        transitions=b,
-        preferences=c,
+        likelihood=_Built(a),
+        transitions=tuple(map(_Built, b)),
+        preferences=_Built(c),
         state_prior=state_prior,
         policies=PolicySet(tuple(policies)),
         state_labels=_optional_labels(doc, "state_labels", n_s),
@@ -541,19 +580,40 @@ def load_spec(path) -> GenerativeModel:
     return model
 
 
+def _json_pieces(value, depth: int = 0):
+    """The text json.dump(value, f, indent=2) writes for value at a depth of
+    nesting, in pieces: a dict one entry at a time, a tuple of arrays or an array
+    of more than one dimension one row at a time, any other value whole."""
+    pad = "\n" + "  " * depth
+    if isinstance(value, dict):
+        marks, entries = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())
+    elif isinstance(value, tuple) or (isinstance(value, np.ndarray) and value.ndim > 1):
+        marks, entries = "[]", (("", row) for row in value)
+    else:  # json escapes a newline in a string: each one here is the layout's
+        yield json.dumps(_plain(value), indent=2).replace("\n", pad)
+        return
+    opened = False
+    for head, item in entries:
+        yield ("," if opened else marks[0]) + pad + "  " + head
+        yield from _json_pieces(item, depth + 1)
+        opened = True
+    yield pad + marks[1] if opened else marks
+
+
 def save_spec(model: GenerativeModel, path) -> None:
     """Write a model spec file that load_spec reads back exactly.
 
     Dimensions and labels that load_spec would refuse raise ModelSpecError
     before the file is opened, so every value left is one json encodes. The
-    document is streamed to the file, so the encoder holds about the file's
-    size in memory, not a list of all its pieces."""
+    file holds the bytes json.dump(doc, f, indent=2) writes and a newline, but
+    each matrix is written one row at a time: a save holds one row as Python
+    values, not every matrix."""
     doc: dict = {
         **{key: _dimension(key, getattr(model, key)) for key in _DIMENSIONS},
-        "A": model.likelihood.tolist(),
-        "B": [b.tolist() for b in model.transitions],
-        "C": model.preferences.tolist(),
-        "D": model.state_prior.probs.tolist(),
+        "A": model.likelihood,
+        "B": model.transitions,
+        "C": model.preferences,
+        "D": model.state_prior.probs,
         "policies": [list(p.actions) for p in model.policies],
     }
     for key, length in (("state_labels", model.num_states),
@@ -562,8 +622,7 @@ def save_spec(model: GenerativeModel, path) -> None:
         if getattr(model, key) is not None:
             doc[key] = list(_labels(key, getattr(model, key), length))
     if model.risk_state_prior is not None:
-        doc["risk_state_prior"] = model.risk_state_prior.probs.tolist()
-    # indent makes json use its Python encoder: dumps would join every piece at once
+        doc["risk_state_prior"] = model.risk_state_prior.probs
     with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
+        f.writelines(_json_pieces(doc))
         f.write("\n")

@@ -22,7 +22,7 @@ from efeplan.model import (
     save_spec,
     validate,
 )
-from efeplan.numerics import Categorical
+from efeplan.numerics import NORM_TOL, Categorical
 from efeplan.tmaze import TMAZE_POLICIES, build_tmaze_model
 
 
@@ -63,7 +63,53 @@ _SHAPE_VIOLATIONS = [
 ]
 
 
+def _columns_one_at_a_time(name: str, matrix: np.ndarray) -> list[str]:
+    """The column checks of validate, one column at a time: the reference for
+    model._check_columns."""
+    violations: list[str] = []
+    for col in range(matrix.shape[1]):
+        column = matrix[:, col]
+        if np.any(column < 0.0):
+            violations.append(f"{name} column {col} has a negative entry")
+        with np.errstate(over="ignore"):
+            total = float(column.sum())
+        if abs(total - 1.0) > NORM_TOL:
+            violations.append(f"{name} column {col} sums to {total!r}, expected 1")
+    return violations
+
+
+def _column_cases(rng: np.random.Generator):
+    """Matrices of many shapes and layouts: columns that are distributions, off 1,
+    with negative entries, or whose sums overflow."""
+    for i in range(360):
+        rows, cols = int(rng.integers(1, 300)), int(rng.integers(1, 12))
+        if i % 40 == 0:
+            rows = int(rng.integers(8000, 9000))  # around numpy's 8192-entry buffer
+        matrix = rng.dirichlet(np.ones(rows), size=cols).T * rng.choice([1.0, 1.0 + 1e-8, 3.7], cols)
+        matrix[rng.random(matrix.shape) < 0.002] *= -1.0
+        if i % 7 == 0:
+            matrix[:2, rng.integers(cols)] = 1e308
+        layout = i % 4
+        if layout == 1:
+            matrix = np.asfortranarray(matrix)
+        elif layout == 2:
+            matrix = np.repeat(matrix, 2, axis=0)[::2]  # rows strided in memory
+        elif layout == 3:
+            matrix = np.repeat(matrix, 2, axis=1)[:, ::2]  # columns strided in memory
+        yield matrix
+
+
 class TestValidate:
+    def test_column_checks_match_one_column_at_a_time(self):
+        # every verdict, in order, and each sum to the bit, as repr prints it
+        messages = 0
+        for matrix in _column_cases(np.random.default_rng(41)):
+            got: list[str] = []
+            model_module._check_columns("B[1]", matrix, got)
+            assert got == _columns_one_at_a_time("B[1]", matrix), matrix.shape
+            messages += len(got)
+        assert messages > 1000
+
     def test_builtin_maze_is_clean(self):
         assert validate(build_tmaze_model()) == []
 
@@ -389,6 +435,18 @@ class TestRoundTrip:
                 outcome_labels=tuple(f"o\u00e9\"{j}" for j in range(model.num_outcomes)),
                 action_labels=tuple(f"a {j}" for j in range(model.num_actions)),
             ))
+        # entries json spells NaN, Infinity and -Infinity, and matrices of other
+        # dimensions than validate expects, which save_spec writes all the same
+        odd = np.array(maze.likelihood)
+        odd[0, :3] = [np.nan, np.inf, -np.inf]
+        models += [
+            dataclasses.replace(maze, likelihood=odd, preferences=np.full(7, -np.inf),
+                                transitions=(odd,) + maze.transitions[1:]),
+            dataclasses.replace(maze, likelihood=np.full(7, 0.5), transitions=(np.ones((2, 3, 4)),)),
+            dataclasses.replace(maze, likelihood=np.zeros((0, 8)), preferences=np.zeros((7, 0)),
+                                transitions=(np.zeros((2, 0, 3)), np.float64(0.25))),
+            dataclasses.replace(maze, transitions=()),
+        ]
         path = tmp_path / "model.json"
         for model in models:
             save_spec(model, path)
@@ -399,8 +457,9 @@ class TestRoundTrip:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == pinned
 
     def test_save_peaks_near_the_file_size(self, tmp_path):
-        model = helpers.random_model(np.random.default_rng(5), min_states=128, max_states=128,
-                                     min_actions=1, max_actions=1)
+        # a save holds one matrix row as Python values and text, not the matrices
+        model = helpers.random_model(np.random.default_rng(5), min_states=256, max_states=256,
+                                     min_actions=2, max_actions=2)
         path = tmp_path / "model.json"
         tracemalloc.start()
         try:
@@ -408,7 +467,7 @@ class TestRoundTrip:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * path.stat().st_size
+        assert peak < 0.1 * path.stat().st_size
 
     @pytest.mark.parametrize("changes,message", [
         ({"state_labels": tuple(range(8))}, "state_labels must be a list of 8 strings"),
@@ -705,7 +764,8 @@ class TestSpecReader:
 
     def test_load_peaks_below_the_file_size(self, tmp_path):
         # the whole text and its parsed tree peak near 2.1x the file's size, and
-        # the whole text beside the model's arrays near 1.3x
+        # the whole text beside the model's arrays near 1.3x; with each matrix
+        # held once, the peak is one matrix's rows beside its stacked copy
         model = helpers.random_model(np.random.default_rng(5), min_states=256, max_states=256,
                                      min_actions=2, max_actions=2)
         path = tmp_path / "model.json"
@@ -716,4 +776,50 @@ class TestSpecReader:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < path.stat().st_size
+        assert peak < 0.5 * path.stat().st_size
+
+
+def _matrices(model: GenerativeModel) -> list[np.ndarray]:
+    return [model.likelihood, *model.transitions, model.preferences]
+
+
+class TestHeldArrays:
+    def test_arrays_passed_in_are_copied(self):
+        maze = build_tmaze_model()
+        likelihood = np.array(maze.likelihood)
+        transitions = [np.array(b) for b in maze.transitions]
+        preferences = np.array(maze.preferences)
+        frozen = np.array(maze.likelihood)
+        frozen.flags.writeable = False
+        base = np.array(maze.likelihood)
+        view = base[:]
+        view.flags.writeable = False
+        models = [
+            dataclasses.replace(maze, likelihood=likelihood, transitions=tuple(transitions),
+                                preferences=preferences),
+            dataclasses.replace(maze, likelihood=frozen),
+            dataclasses.replace(maze, likelihood=view),
+        ]
+        before = [[m.tobytes() for m in _matrices(model)] for model in models]
+        frozen.flags.writeable = True  # an array that owns its data may be written again
+        for array in (likelihood, *transitions, preferences, frozen, base):
+            array *= 2.0
+        assert [[m.tobytes() for m in _matrices(model)] for model in models] == before
+
+    def test_loaded_matrices_are_read_only_float64_and_the_whole_text_parse_bits(
+            self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(31)
+        models = [build_tmaze_model()] + [helpers.random_model(rng) for _ in range(10)]
+        path = tmp_path / "model.json"
+        for model in models:
+            save_spec(model, path)
+            ours = load_spec(path)
+            with monkeypatch.context() as patch:
+                patch.setattr(model_module, "_read_spec", model_module._parse)
+                whole = load_spec(path)
+            for loaded in (ours, whole):
+                for matrix in _matrices(loaded):
+                    assert matrix.dtype == np.float64
+                    assert matrix.flags.c_contiguous and not matrix.flags.writeable
+            assert [m.tobytes() for m in _matrices(ours)] == [m.tobytes() for m in _matrices(whole)]
+            assert [m.shape for m in _matrices(ours)] == [m.shape for m in _matrices(whole)]
