@@ -316,45 +316,34 @@ def _plain(value):
     return [_plain(x) for x in value] if isinstance(value, list) else value
 
 
-def _read_array(raw, vector: bool) -> np.ndarray | None:
-    """The float64 array _SpecReader made of raw, None if it made none: a vector's
-    own array, or the matrix whose rows raw holds."""
-    if vector:
-        return raw if isinstance(raw, np.ndarray) else None
-    matrix = getattr(raw[0], "base", None)
-    if (isinstance(matrix, np.ndarray) and len(matrix) == len(raw)
-            and all(getattr(row, "base", None) is matrix for row in raw)):
-        return matrix
-    return None
-
-
 def _require_array(name: str, raw, shape: tuple[int, ...], nonnegative: bool) -> np.ndarray:
     """Check a JSON vector (shape (n,)) or matrix (shape (rows, cols)) of numbers
-    and convert it. JSON numbers arrive as exact ints and floats, never bools; a
-    row of floats alone arrives as a float64 array, which needs no type check,
-    and an array the reader made is taken as it is, not copied."""
+    and convert it. JSON numbers arrive as exact ints and floats, never bools. An
+    array _SpecReader made of the shape asked for holds floats alone and is taken
+    as it is, not copied; any other value is checked as json.loads gives it."""
     vector = len(shape) == 1
-    if not isinstance(raw, (list, np.ndarray)) or len(raw) != shape[0]:
-        raise ModelSpecError(f"{name} must be a list of {_int_text(shape[0])} "
-                             f"{'numbers' if vector else 'rows'}")
-    rows = [raw] if vector else raw
-    for i, row in enumerate(rows):
-        if not isinstance(row, (list, np.ndarray)) or len(row) != shape[-1]:
-            raise ModelSpecError(f"{name} row {i} must be a list of {_int_text(shape[-1])} "
-                                 "numbers")
 
     def where(i: int, j: int) -> str:
         return f"{name}[{j}]" if vector else f"{name}[{i}][{j}]"
 
     def first(bad) -> tuple[int, int]:
-        return next((i, j) for i, row in enumerate(rows) if isinstance(row, list)
-                    for j, x in enumerate(row) if bad(x))
+        return next((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if bad(x))
 
-    if not {type(x) for row in rows if isinstance(row, list) for x in row} <= {int, float}:
-        i, j = first(lambda x: type(x) not in (int, float))
-        raise ModelSpecError(f"{where(i, j)} is not a number: {_plain(rows[i][j])!r}")
-    out = _read_array(raw, vector)
-    if out is None:
+    if isinstance(raw, np.ndarray) and raw.shape == shape:
+        out, rows = raw, np.atleast_2d(raw)
+    else:
+        raw = _plain(raw)
+        if not isinstance(raw, list) or len(raw) != shape[0]:
+            raise ModelSpecError(f"{name} must be a list of {_int_text(shape[0])} "
+                                 f"{'numbers' if vector else 'rows'}")
+        rows = [raw] if vector else raw
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != shape[-1]:
+                raise ModelSpecError(f"{name} row {i} must be a list of "
+                                     f"{_int_text(shape[-1])} numbers")
+        if not {type(x) for row in rows for x in row} <= {int, float}:
+            i, j = first(lambda x: type(x) not in (int, float))
+            raise ModelSpecError(f"{where(i, j)} is not a number: {rows[i][j]!r}")
         try:
             out = np.array(raw, dtype=np.float64)
         except OverflowError:
@@ -394,11 +383,12 @@ _space = json.decoder.WHITESPACE.match
 _scan = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an offset
 
 
-def _stacked(rows: list) -> list:
-    """rows as the row views of one C-contiguous float64 matrix if all are float64
-    arrays of one length, which _require_array then takes whole; else rows."""
-    if all(type(row) is np.ndarray for row in rows) and len(set(map(len, rows))) == 1:
-        return list(np.stack(rows))
+def _stacked(rows: list):
+    """rows as one C-contiguous float64 matrix if all are float64 vectors of one
+    length, which _require_array then takes whole; else rows."""
+    if (all(type(row) is np.ndarray and row.ndim == 1 for row in rows)
+            and len(set(map(len, rows))) == 1):
+        return np.stack(rows)
     return rows
 
 
@@ -406,8 +396,8 @@ class _SpecReader:
     """Reads a spec's top-level object from a window of its file, walking down each
     array whose first entry is an array; json's scanner decodes every other value
     whole, and a nonempty array of floats alone becomes a float64 array. Rows that
-    are such arrays of one length become views of one matrix (_stacked). So a load
-    holds the model's arrays and a window, not the whole text and its parse tree."""
+    are such arrays of one length become one matrix (_stacked). So a load holds
+    the model's arrays and a window, not the whole text and its parse tree."""
 
     def __init__(self, file):
         self.file, self.text, self.at = file, "", 0
@@ -580,34 +570,14 @@ def load_spec(path) -> GenerativeModel:
     return model
 
 
-def _json_pieces(value, depth: int = 0):
-    """The text json.dump(value, f, indent=2) writes for value at a depth of
-    nesting, in pieces: a dict one entry at a time, a tuple of arrays or an array
-    of more than one dimension one row at a time, any other value whole."""
-    pad = "\n" + "  " * depth
-    if isinstance(value, dict):
-        marks, entries = "{}", ((json.dumps(key) + ": ", item) for key, item in value.items())
-    elif isinstance(value, tuple) or (isinstance(value, np.ndarray) and value.ndim > 1):
-        marks, entries = "[]", (("", row) for row in value)
-    else:  # json escapes a newline in a string: each one here is the layout's
-        yield json.dumps(_plain(value), indent=2).replace("\n", pad)
-        return
-    opened = False
-    for head, item in entries:
-        yield ("," if opened else marks[0]) + pad + "  " + head
-        yield from _json_pieces(item, depth + 1)
-        opened = True
-    yield pad + marks[1] if opened else marks
-
-
 def save_spec(model: GenerativeModel, path) -> None:
     """Write a model spec file that load_spec reads back exactly.
 
     Dimensions and labels that load_spec would refuse raise ModelSpecError
     before the file is opened, so every value left is one json encodes. The
-    file holds the bytes json.dump(doc, f, indent=2) writes and a newline, but
-    each matrix is written one row at a time: a save holds one row as Python
-    values, not every matrix."""
+    file holds the bytes json.dump(doc, f, indent=2) writes and a newline. The
+    encoder meets each matrix as an array, which default hands it one row at a
+    time: a save holds one row as Python values, not every matrix."""
     doc: dict = {
         **{key: _dimension(key, getattr(model, key)) for key in _DIMENSIONS},
         "A": model.likelihood,
@@ -624,5 +594,6 @@ def save_spec(model: GenerativeModel, path) -> None:
     if model.risk_state_prior is not None:
         doc["risk_state_prior"] = model.risk_state_prior.probs
     with open(path, "w") as f:
-        f.writelines(_json_pieces(doc))
+        json.dump(doc, f, indent=2,
+                  default=lambda a: list(a) if a.ndim > 1 else a.tolist())
         f.write("\n")

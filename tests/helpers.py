@@ -392,8 +392,9 @@ def records_json_by_dumps(config: dict, tables: dict) -> str:
 
 
 def spec_text_by_dumps(model: GenerativeModel) -> str:
-    """A spec file's text as json.dumps(indent=2) writes the document at once;
-    an oracle for save_spec's streamed writer."""
+    """A spec file's text as json.dumps(indent=2) writes the document of plain
+    lists at once; an oracle for save_spec, whose encoder meets each matrix as an
+    array and is handed it one row at a time."""
     doc: dict = {
         "num_states": model.num_states,
         "num_outcomes": model.num_outcomes,

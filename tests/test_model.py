@@ -630,11 +630,15 @@ _WINDOWS = [1, 2, 3, 7, 64, model_module._WINDOW]
 
 
 def _same(got, want) -> bool:
-    """got is json.loads's want, but with float64 arrays for some lists of floats
-    alone; floats compare by their bits, so NaN and -0.0 count."""
+    """got is json.loads's want, but with a float64 array for some lists of floats
+    alone, and one 2-D float64 array for some lists of such lists of one length;
+    floats compare by their bits, so NaN and -0.0 count."""
     if isinstance(got, np.ndarray):
-        return (type(want) is list and len(want) > 0 and {type(x) for x in want} == {float}
-                and got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes())
+        rows = want if got.ndim == 2 else [want]
+        return (got.ndim in (1, 2) and got.dtype == np.float64 and type(want) is list
+                and len(want) > 0 and all(type(row) is list and len(row) == got.shape[-1] > 0
+                                          and {type(x) for x in row} == {float} for row in rows)
+                and got.tobytes() == np.array(want).tobytes())
     if type(got) is not type(want):
         return False
     if isinstance(got, list):
@@ -732,10 +736,25 @@ class TestSpecReader:
         path = tmp_path / "maze.json"
         save_spec(build_tmaze_model(), path)
         doc = model_module._read_spec(path)
-        assert all(isinstance(row, np.ndarray) for row in doc["A"])
-        assert all(isinstance(row, np.ndarray) for b in doc["B"] for row in b)
+
+        def matrix(a) -> bool:
+            return (type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64
+                    and a.flags.c_contiguous)
+
+        assert matrix(doc["A"])
+        assert type(doc["B"]) is list and all(map(matrix, doc["B"]))  # not one 3-D block
         assert isinstance(doc["C"], np.ndarray) and isinstance(doc["D"], np.ndarray)
         assert doc["policies"] == [list(p) for p in TMAZE_POLICIES]
+
+    @pytest.mark.parametrize("text", [
+        '{"A": [[0.5, 0.5], [1.0]]}', '{"A": [[0.5, 0.5], [1, 0.5]]}',
+        '{"A": [[[0.5]], [0.5]]}',
+    ], ids=["ragged", "int-row", "deeper-row"])
+    def test_other_arrays_of_arrays_stay_lists(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        doc = model_module._read_spec(path)
+        assert type(doc["A"]) is list and _same(doc, json.loads(text))
 
     def test_loads_what_the_whole_text_parse_loads(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(29)
@@ -761,6 +780,27 @@ class TestSpecReader:
             assert ours.policies == whole.policies
             assert (ours.num_states, ours.num_outcomes, ours.num_actions, ours.horizon) == (
                 whole.num_states, whole.num_outcomes, whole.num_actions, whole.horizon)
+
+    def test_int_valued_matrices_load_as_the_whole_text_parse_loads(self, tmp_path,
+                                                                    monkeypatch):
+        # as a hand-written spec gives them: every B[u] in JSON ints, and a row of A
+        # mixing ints and floats; the reader keeps such rows as lists
+        path = tmp_path / "maze.json"
+        save_spec(build_tmaze_model(), path)
+        doc = json.loads(path.read_text())
+        assert all(x in (0.0, 1.0) for b in doc["B"] for row in b for x in row)
+        doc["B"] = [[[int(x) for x in row] for row in b] for b in doc["B"]]
+        doc["A"][1] = [int(x) if x == 0.0 else x for x in doc["A"][1]]
+        assert {type(x) for x in doc["A"][1]} == {int, float}
+        path.write_text(json.dumps(doc, indent=2))
+        ours = load_spec(path)
+        monkeypatch.setattr(model_module, "_read_spec", model_module._parse)
+        whole = load_spec(path)
+        for got, want in zip((ours.likelihood, *ours.transitions),
+                             (whole.likelihood, *whole.transitions), strict=True):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
 
     def test_load_peaks_below_the_file_size(self, tmp_path):
         # the whole text and its parsed tree peak near 2.1x the file's size, and
