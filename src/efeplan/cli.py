@@ -15,13 +15,12 @@ import numpy as np
 from .harness import (
     ExperimentConfig,
     _plans,
-    _scheduled_trial,
-    _trial_rngs,
+    _scheduled_trials,
     emit_plot_data,
     run_experiment,
     write_records,
 )
-from .model import ModelEnvironment, ModelSpecError, load_spec
+from .model import ModelSpecError, load_spec
 from .numerics import normalize
 from .planning import ConfigurationError, ObjectiveKind, PlanContext, score_policies
 from .tmaze import ACTION_LABELS, CONTEXT_LABELS, OUTCOME_LABELS, build_tmaze_model
@@ -141,8 +140,7 @@ def _cmd_trial(args) -> int:
     if args.trial < 1:
         raise UsageError(f"--trial must be >= 1, got {args.trial}")
     model, memo = _plans(config)  # the memo run_experiment plans through
-    [rngs] = _trial_rngs(config.seed, [args.trial])
-    record = _scheduled_trial(model, ModelEnvironment(model), config, args.trial, rngs, memo=memo)
+    [record] = _scheduled_trials(model, memo, config, [args.trial])
 
     print(f"trial {record.trial}: context={CONTEXT_LABELS[record.true_context]} "
           f"agent={config.agent.value}")

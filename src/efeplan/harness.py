@@ -350,22 +350,22 @@ def _trial_rngs(
         yield from zip(rngs, rngs)
 
 
-def _scheduled_trial(
-    model: GenerativeModel,
-    env: ModelEnvironment,
-    config: ExperimentConfig,
-    trial: int,
-    rngs: tuple[np.random.Generator, np.random.Generator],
-    cumulative_before: int = 0,
-    memo: dict | None = None,
-) -> TrialRecord:
-    """Trial `trial` of config's schedule: set its (environment, tie-break)
-    generators rngs and its context, then run it."""
-    env.rng, tie_rng = rngs
-    env.reset(state_index(default_context(trial), CENTER))
-    return run_trial(
-        model, env, config, tie_rng, trial=trial, cumulative_before=cumulative_before, memo=memo
-    )
+def _scheduled_trials(model: GenerativeModel, memo: dict | None, config: ExperimentConfig,
+                      trials: Sequence[int]) -> Iterator[TrialRecord]:
+    """The records of config's 1-based trials `trials`, in order, run in one environment.
+
+    Each trial takes its (environment, tie-break) generators, starts at the
+    centre of its context and plans through memo, as run_trial says; the
+    cumulative score carries on from the trial before.
+    """
+    env = ModelEnvironment(model)
+    cumulative = 0
+    for trial, (env.rng, tie_rng) in zip(trials, _trial_rngs(config.seed, trials)):
+        env.reset(state_index(default_context(trial), CENTER))
+        record = run_trial(model, env, config, tie_rng, trial=trial,
+                           cumulative_before=cumulative, memo=memo)
+        cumulative = record.cumulative_score
+        yield record
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
@@ -376,22 +376,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentRecord:
     and a spec run plans through its own.
     """
     start = time.perf_counter()
-    model, memo = _plans(config)
-    records: list[TrialRecord] = []
-    cumulative = 0
-    env = ModelEnvironment(model)  # each trial sets its generator
-    trials = range(1, config.trials + 1)
-    for trial, rngs in zip(trials, _trial_rngs(config.seed, trials)):
-        record = _scheduled_trial(model, env, config, trial, rngs, cumulative, memo)
-        cumulative = record.cumulative_score
-        records.append(record)
-
-    return ExperimentRecord(
-        config=config,
-        trials=tuple(records),
-        final_score=cumulative,
-        duration_seconds=time.perf_counter() - start,
-    )
+    trials = tuple(_scheduled_trials(*_plans(config), config, range(1, config.trials + 1)))
+    return ExperimentRecord(config=config, trials=trials, final_score=trials[-1].cumulative_score,
+                            duration_seconds=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -507,8 +494,10 @@ def _json_text(config_echo: dict, tables: dict[str, tuple[list[str], list[list]]
 
 
 def _config_echo(config: ExperimentConfig, fmt: str) -> dict:
-    """The config's fields plus the format the records were written in."""
-    return {**vars(config), "agent": config.agent.value, "output_format": fmt}
+    """The config's fields, a numpy number as its Python one, plus the records' format."""
+    fields = {name: value.item() if isinstance(value, np.generic) else value
+              for name, value in vars(config).items()}
+    return {**fields, "agent": config.agent.value, "output_format": fmt}
 
 
 def _maze_layout(first: EpochRecord) -> bool:
@@ -534,9 +523,16 @@ def _breakdown_tails(breakdowns: tuple[EfeBreakdown | None, ...]) -> list[list]:
             for i, b in enumerate(breakdowns, start=1)]
 
 
+def _first_trial(record: ExperimentRecord) -> TrialRecord:
+    """The trial every table takes its layout from; a record without one is refused."""
+    if not record.trials:
+        raise ValueError("the tables need a trial; the record has none")
+    return record.trials[0]
+
+
 def build_tables(record: ExperimentRecord) -> dict[str, tuple[list[str], list[list]]]:
     """Assemble the output tables as (header, rows) pairs keyed by table name."""
-    first = record.trials[0].epochs[0]
+    first = _first_trial(record).epochs[0]
     maze = _maze_layout(first)
     trials_rows = []
     beliefs_rows = _Rows(lambda bma: [_maze_marginals(bma) if maze else bma])
@@ -625,7 +621,7 @@ def _black_bands(contexts: list[int]) -> list[tuple[int, int]]:
 
 def emit_plot_data(record: ExperimentRecord, output_dir) -> list[Path]:
     """Numeric tables for the first-trial belief matrices and the run series."""
-    first = record.trials[0]
+    first = _first_trial(record)
     horizon = len(first.epochs)
     if not _maze_layout(first.epochs[0]):
         raise ValueError("plot data emission expects the maze layout (8 states, 4 actions)")

@@ -32,7 +32,7 @@ from efeplan.harness import (
     _json_text,
     _plans,
     _Rows,
-    _scheduled_trial,
+    _scheduled_trials,
     _trial_rngs,
     build_tables,
     emit_plot_data,
@@ -208,10 +208,11 @@ class TestRunTrial:
         # the agent's spec contradicts the maze it acts in at the black cue
         _save_contradicting_maze(tmp_path / "contradicting.json")
         contradicting = load_spec(tmp_path / "contradicting.json")
-        env = ModelEnvironment(build_tmaze_model())
-        [rngs] = _trial_rngs(0, [12])
+        [(env_rng, tie_rng)] = _trial_rngs(0, [12])
+        env = ModelEnvironment(build_tmaze_model(), env_rng)
+        env.reset(state_index(default_context(12), CENTER))
         with pytest.raises(ImpossibleObservationError, match="trial 12, epoch 2") as info:
-            _scheduled_trial(contradicting, env, _config(), 12, rngs)
+            run_trial(contradicting, env, _config(), tie_rng, trial=12)
         assert isinstance(info.value, ModelSpecError)
         assert (info.value.trial, info.value.epoch) == (12, 2)
         # the filter names what it saw, not a policy the agent never committed to
@@ -359,6 +360,21 @@ class TestRunExperiment:
         assert json.loads((tmp_path / "config.json").read_text())[field] == stored
 
     @pytest.mark.parametrize("field, value", [
+        ("precision", np.int64(2)), ("reward_prob", np.float32(0.9)),
+        ("tie_tolerance", np.float16(1e-3)),
+    ])
+    def test_a_numpy_number_is_echoed_as_its_python_number(self, field, value, tmp_path):
+        for fmt in ("csv", "json"):
+            written = []
+            for given in (value, value.item()):
+                out = tmp_path / fmt / type(given).__name__
+                write_records(run_experiment(_config(trials=2, **{field: given})), out, fmt)
+                written.append({p.name: p.read_bytes() for p in out.iterdir()})
+            assert written[0] == written[1], fmt
+            doc = json.loads(written[0]["config.json" if fmt == "csv" else "records.json"])
+            assert doc.get("config", doc)[field] == value.item(), fmt
+
+    @pytest.mark.parametrize("field, value", [
         ("precision", "1"), ("tie_tolerance", None), ("reward_prob", None),
         ("reward_prob", "0.5"), pytest.param("precision", 10**400, id="precision-10**400"),
         pytest.param("tie_tolerance", -(10**400), id="tie_tolerance--10**400"),
@@ -382,6 +398,22 @@ class TestRunExperiment:
                 write_records(run_experiment(config), out, fmt)
                 written[name] = {p.name: p.read_bytes() for p in out.iterdir()}
             assert written["path"] == written["str"], fmt
+
+    def test_trial_gives_the_runs_record_of_that_trial(self, tmp_path, capsys):
+        configs = [_config(agent=ObjectiveKind(agent), seed=seed)
+                   for agent in ("efe", "eig", "eu") for seed in range(4)]
+        configs.append(_config(seed=1, model_path=_save_maze(tmp_path / "maze.json")))
+        for config in configs:
+            run = run_experiment(config).trials
+            argv = ["--agent", config.agent.value, "--seed", str(config.seed)]
+            argv += ["--model", config.model_path] if config.model_path else []
+            for t in (1, 10, 12, 30, 50):
+                [record] = _scheduled_trials(*_plans(config), config, [t])
+                assert (_float_hex(dataclasses.replace(record, cumulative_score=0))
+                        == _float_hex(dataclasses.replace(run[t - 1], cumulative_score=0))), \
+                    (config, t)
+                assert main(["trial", "--trial", str(t), *argv]) == 0
+                assert capsys.readouterr().out.endswith(f"\nscore: {record.score_delta}\n")
 
     def test_agent_ordering_on_default_seed(self, efe_record):
         eig = run_experiment(_config(agent=ObjectiveKind.INFO_GAIN_ONLY))
@@ -693,9 +725,8 @@ class TestPaperReductionsInTheLoop:
         for seed in range(8):
             runs = []
             for agent in (ObjectiveKind.EXPECTED_FREE_ENERGY, ObjectiveKind.INFO_GAIN_ONLY):
-                config, env, memo = _config(agent=agent, seed=seed), ModelEnvironment(flat), {}
-                runs.append([_scheduled_trial(flat, env, config, trial, rngs, 0, memo)
-                             for trial, rngs in zip(schedule, _trial_rngs(seed, schedule))])
+                config = _config(agent=agent, seed=seed)
+                runs.append(list(_scheduled_trials(flat, {}, config, schedule)))
             for efe, eig in zip(*runs, strict=True):
                 assert efe.actions == eig.actions, (seed, efe.trial)
                 assert _posterior_gap(efe, eig) <= 1e-12, (seed, efe.trial)
@@ -911,14 +942,9 @@ class TestWriteRecords:
 def _record_without_memo(config: ExperimentConfig) -> ExperimentRecord:
     """run_experiment's record with each trial planned through its own fresh memo."""
     model, _ = _plans(config)
-    env = ModelEnvironment(model)
-    trials, cumulative = [], 0
-    schedule = range(1, config.trials + 1)
-    for trial, rngs in zip(schedule, _trial_rngs(config.seed, schedule)):
-        trials.append(_scheduled_trial(model, env, config, trial, rngs, cumulative))
-        cumulative = trials[-1].cumulative_score
-    return ExperimentRecord(config=config, trials=tuple(trials), final_score=cumulative,
-                            duration_seconds=0.0)
+    trials = tuple(_scheduled_trials(model, None, config, range(1, config.trials + 1)))
+    return ExperimentRecord(config=config, trials=trials,
+                            final_score=trials[-1].cumulative_score, duration_seconds=0.0)
 
 
 def _signed_zero_record() -> ExperimentRecord:
@@ -1409,6 +1435,17 @@ class TestBuildTables:
             "the policies table needs a planning epoch; a horizon-1 trial has none")
         assert "\n" not in str(info.value)
         assert not (tmp_path / fmt).exists()
+
+    def test_a_record_with_no_trials_is_refused_in_one_line(self, efe_record, tmp_path):
+        empty = dataclasses.replace(efe_record, trials=(), final_score=0)
+        writes = [lambda out: build_tables(empty), lambda out: write_records(empty, out, "csv"),
+                  lambda out: write_records(empty, out, "json"),
+                  lambda out: emit_plot_data(empty, out)]
+        for i, write in enumerate(writes):
+            with pytest.raises(ValueError) as info:
+                write(tmp_path / str(i))
+            assert str(info.value) == "the tables need a trial; the record has none"
+            assert not (tmp_path / str(i)).exists()
 
     def test_an_unknown_format_is_refused_before_the_directory_is_made(self, efe_record,
                                                                        tmp_path):
