@@ -1,5 +1,7 @@
 """Discrete-state active inference engine with a T-maze foraging harness."""
 
+from types import ModuleType as _ModuleType
+
 from .harness import (
     ExperimentConfig,
     ExperimentRecord,
@@ -61,53 +63,6 @@ from .tmaze import (
     score_outcome,
 )
 
-__all__ = [
-    "Categorical",
-    "ConfigurationError",
-    "DegenerateDistributionError",
-    "EfeBreakdown",
-    "ExperimentConfig",
-    "ExperimentRecord",
-    "GenerativeModel",
-    "ImpossibleObservationError",
-    "InferenceResult",
-    "ModelEnvironment",
-    "ModelSpecError",
-    "ObjectiveKind",
-    "PlanContext",
-    "PolicyScore",
-    "Policy",
-    "PolicySet",
-    "TrialRecord",
-    "action_marginal",
-    "ambiguity",
-    "bma_beliefs",
-    "build_tmaze_model",
-    "default_context",
-    "emit_plot_data",
-    "entropy",
-    "evidence_bound_diagnostic",
-    "expected_free_energy",
-    "expected_info_gain",
-    "extrinsic_value",
-    "infer_states",
-    "kl_divergence",
-    "load_spec",
-    "normalize",
-    "policy_posterior",
-    "predictive_outcome",
-    "predictive_states",
-    "risk_states",
-    "run_experiment",
-    "run_trial",
-    "save_spec",
-    "score_outcome",
-    "score_policies",
-    "select_action",
-    "softmax",
-    "state_outcome_utility_comparison",
-    "tie_set",
-    "validate",
-    "vfe",
-    "write_records",
-]
+# every name imported above, and no submodule
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -22,17 +22,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .inference import bma_beliefs, filter_step
+from .inference import _bma_mix, filter_step
 from .model import GenerativeModel, ModelEnvironment, ModelSpecError, load_spec
 from .planning import (
     TIE_TOLERANCE,
     EfeBreakdown,
     ObjectiveKind,
-    PlanContext,
+    _marginal,
+    _plan_frame,
+    _posterior,
     _score_tree,
-    action_marginal,
     break_tie,
-    policy_posterior,
     tie_set,
 )
 from .tmaze import (
@@ -146,33 +146,31 @@ def _plan_epoch(
     first epoch - 1 bma_states rows, the past filtered beliefs, are shared; a
     filter_step of the newest observation adds the present row. Every viable
     policy shares these rows, so only the viable policies' predictions are
-    mixed. The records map each tied action, ascending, to its EpochRecord
-    (None at the final epoch); all share one set of field tuples."""
+    mixed, straight from the scorer's arrays; what depends on the executed
+    actions alone comes from their frame, cached on the model. The records map
+    each tied action, ascending, to its EpochRecord (None at the final epoch);
+    all share one set of field tuples."""
     policies = model.policies
     epoch = len(observations)
     past = parent.bma_states[: epoch - 1] if parent else ()
-    pred = model.transitions[executed[-1]] @ past[-1] if past else model.state_prior.probs
+    pred = (model.transitions[executed[-1]] @ np.fromiter(past[-1], np.float64, model.num_states)
+            if past else model.state_prior.probs)
     now = filter_step(model, pred, observations[-1], epoch, trial)
-    ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
-    viable = ctx.viable(policies)
-
-    g = np.full(len(policies), math.nan)
+    viable, at, layout, column = _plan_frame(model, executed)
     breakdowns: list[EfeBreakdown | None] = [None] * len(policies)
-    predicted: list[np.ndarray | None] = [None] * len(policies)
-    planning = epoch < model.horizon
-    if planning:
-        summed, paths, _, states = _score_tree(model, now, policies.actions[viable, epoch - 1:],
-                                               config.agent)
-        g[viable] = summed[:, -1]
-        for i, sums, table in zip(viable, summed.tolist(), states[paths]):
+    scores = np.zeros(len(viable))  # at the final epoch the posterior is the prefix filter
+    if layout is not None:
+        summed, paths, _, states = _score_tree(model, now, layout, config.agent)
+        scores = summed[:, -1]
+        for i, sums in zip(viable, summed.tolist()):
             breakdowns[i] = EfeBreakdown(*sums)
-            predicted[i] = table
-    else:
-        g[viable] = 0.0  # no future left; posterior reduces to the prefix filter
-
-    post = policy_posterior(g, policies, ctx, config.precision)
-    marg = action_marginal(post, policies, epoch, model.num_actions) if planning else None
-    mixed = bma_beliefs(post, predicted).tolist() if planning else []
+    post = _posterior(scores, at, len(policies), config.precision, executed)
+    g = np.full(len(policies), math.nan)
+    g[at] = scores
+    marg, mixed = None, []
+    if layout is not None:  # the viable policies' predictions with mass are mixed
+        marg, w = _marginal(post.probs, column, model.num_actions), post.probs[at]
+        mixed = _bma_mix(w[w > 0.0], states[paths[w > 0.0]]).tolist()
     fields = dict(
         epoch=epoch,
         observation=observations[-1],

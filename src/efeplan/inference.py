@@ -123,6 +123,11 @@ def bma_beliefs(policy_posterior: Categorical, per_policy_states) -> np.ndarray:
         raise ValueError(f"policy {missing} has posterior mass but no beliefs")
     if not kept:
         raise ValueError("policy posterior has no mass")
+    return _bma_mix(weights[kept], np.array([per_policy_states[i] for i in kept]))
+
+
+def _bma_mix(weights: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """bma_beliefs of the stacked tables with mass, each weighted, rows normalised."""
     # an axis-0 sum adds the weighted tables in policy order, as a loop would
-    mixed = (weights[kept, None, None] * np.array([per_policy_states[i] for i in kept])).sum(axis=0)
+    mixed = (weights[:, None, None] * tables).sum(axis=0)
     return mixed / mixed.sum(axis=1, keepdims=True)

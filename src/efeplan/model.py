@@ -33,7 +33,15 @@ class Policy:
     actions: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(int(a) for a in self.actions))
+        object.__setattr__(self, "actions", _action_indices(self.actions))
+
+
+def _action_indices(actions) -> tuple[int, ...]:
+    """actions as ints; a value with no __index__, such as 1.7, is refused, not truncated."""
+    try:
+        return tuple(map(operator.index, actions))
+    except TypeError:
+        raise ValueError(f"actions must be integers, got {actions!r}") from None
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,11 @@ class GenerativeModel:
         """clamped_log of risk_state_prior, None without one."""
         prior = self.risk_state_prior
         return None if prior is None else _frozen(clamped_log(prior.probs))
+
+    @functools.cached_property
+    def plan_frames(self) -> dict:
+        """planning._plan_frame's frame of each executed-action prefix, filled as planned."""
+        return {}
 
 
 def _check_finite(name: str, array: np.ndarray, violations: list[str]) -> bool:

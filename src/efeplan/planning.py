@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import GenerativeModel, Policy, PolicySet
+from .model import GenerativeModel, Policy, PolicySet, _action_indices
 from .numerics import (
     Categorical,
     _column_entropies,
@@ -71,7 +71,7 @@ class PlanContext:
     executed_actions: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "executed_actions", tuple(int(a) for a in self.executed_actions))
+        object.__setattr__(self, "executed_actions", _action_indices(self.executed_actions))
         if len(self.executed_actions) != self.current_epoch - 1:
             raise ValueError(
                 f"expected {self.current_epoch - 1} executed actions for epoch "
@@ -236,18 +236,17 @@ def _tree_layout(num_actions: int, shape: tuple[int, int], key: bytes):
 def _score_tree(
     model: GenerativeModel,
     q: np.ndarray,
-    actions: np.ndarray,
+    layout: tuple,
     objective: ObjectiveKind,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Predict and score the tree of remaining-action prefixes as arrays.
 
-    q is the present state belief and actions an np.intp array whose row i
-    holds policy i's actions after the present epoch; score_policies checks
-    both. The tree's layout comes from _tree_layout, once per actions array;
-    each of its steps predicts the nodes one action makes from their parents'
-    unnormalised rollouts with one stacked product. Then every node is scored
-    in one batch with the public term functions' arithmetic, to the bit, from
-    the model's cached constants.
+    q is the present state belief and layout the _tree_layout of the policies'
+    actions after the present epoch, policy i in row i; score_policies checks
+    both. Each of the layout's steps predicts the nodes one action makes from
+    their parents' unnormalised rollouts with one stacked product. Then every
+    node is scored in one batch with the public term functions' arithmetic, to
+    the bit, from the model's cached constants.
     Returns (summed, paths, parts, states): policy i's terms summed over its
     steps, in EfeBreakdown's field order; the node of its step k at
     paths[i, k]; and a node's terms and normalised prediction at parts[j] and
@@ -260,7 +259,7 @@ def _score_tree(
             f"objective {objective.value} needs a model that defines risk_state_prior"
         )
 
-    steps, paths, rows = _tree_layout(model.num_actions, actions.shape, actions.tobytes())
+    steps, paths, rows = layout
     raw = np.empty((rows, model.num_states))  # unnormalised rollouts
     raw[0] = q
     for a, parents, start, stop in steps:
@@ -288,7 +287,7 @@ def _score_tree(
     parts = np.array([risk, ambig, intrinsic, extrinsic, total]).T
 
     # running sums from +0.0, which sums as sum()'s int 0 does: -0.0 parts give 0.0
-    summed = np.zeros((len(actions), parts.shape[1]))
+    summed = np.zeros((len(paths), parts.shape[1]))
     for path in paths.T:
         summed = summed + parts[path]
     return summed, paths, parts, states
@@ -320,8 +319,9 @@ def score_policies(
                              f"horizon {model.horizon}")
     _check_states("q_now", q_now, model)
     actions = np.array([p.actions[t - 1:] for p in policies], dtype=np.intp)
-    summed, paths, parts, states = _score_tree(
-        model, q_now.probs, actions.reshape(len(policies), model.horizon - t), objective)
+    actions = actions.reshape(len(policies), model.horizon - t)
+    layout = _tree_layout(model.num_actions, actions.shape, actions.tobytes())
+    summed, paths, parts, states = _score_tree(model, q_now.probs, layout, objective)
     breakdowns = [EfeBreakdown(*row) for row in parts.tolist()]
     return [PolicyScore(summed=EfeBreakdown(*sums),
                         breakdowns=tuple(breakdowns[j] for j in path), states=states[path])
@@ -357,14 +357,17 @@ def policy_posterior(
     if g.shape != (len(policies),):
         raise ValueError(f"expected one score per policy ({len(policies)}), got shape {g.shape}")
     viable = plan_ctx.viable(policies)
-    if not viable:
-        raise ValueError(
-            f"no policy is consistent with executed actions {plan_ctx.executed_actions}"
-        )
-    scores = g[viable]
+    return _posterior(g[viable], viable, len(policies), precision, plan_ctx.executed_actions)
+
+
+def _posterior(scores: np.ndarray, viable, size: int, precision: float,
+               executed: tuple[int, ...]) -> Categorical:
+    """policy_posterior of the scores of the policies viable after executed, among size."""
+    if not len(viable):
+        raise ValueError(f"no policy is consistent with executed actions {executed}")
     if not np.isfinite(scores).all():
         raise ValueError("scores of viable policies must be finite")
-    probs = np.zeros(len(policies))
+    probs = np.zeros(size)
     probs[viable] = _softmax_probs(-scores, precision)
     return Categorical(probs)
 
@@ -381,9 +384,35 @@ def action_marginal(
     actions = policies.actions
     if not 1 <= epoch <= actions.shape[1]:
         raise ValueError(f"epoch {epoch} outside 1..{actions.shape[1]}")
+    column = actions[:, epoch - 1]
+    outside = column[(column < 0) | (column >= num_actions)]
+    if outside.size:
+        raise ValueError(f"action {outside[0]} at epoch {epoch} is outside 0..{num_actions - 1}")
+    return _marginal(policy_post.probs, column, num_actions)
+
+
+def _marginal(probs: np.ndarray, column: np.ndarray, num_actions: int) -> Categorical:
+    """action_marginal of the posterior probs, where policy i takes action column[i]."""
     # adds each policy's probability in policy order, from 0.0
-    marginal = np.bincount(actions[:, epoch - 1], policy_post.probs, minlength=num_actions)
+    marginal = np.bincount(column, probs, minlength=num_actions)
     return Categorical(marginal / marginal.sum())
+
+
+def _plan_frame(model: GenerativeModel, executed: tuple[int, ...]) -> tuple:
+    """What planning after the executed actions needs of the policies alone, kept
+    in model.plan_frames: (viable, viable as an np.intp array, the _tree_layout of
+    their remaining actions, the action each policy takes at the present epoch),
+    the last two None at the final epoch."""
+    frame = model.plan_frames.get(executed)
+    if frame is None:
+        epoch, actions = len(executed) + 1, model.policies.actions
+        viable = PlanContext(epoch, executed).viable(model.policies)
+        rest, planning = actions[viable, epoch - 1:], epoch < model.horizon
+        frame = model.plan_frames[executed] = (
+            viable, np.array(viable, dtype=np.intp),
+            _tree_layout(model.num_actions, rest.shape, rest.tobytes()) if planning else None,
+            actions[:, epoch - 1] if planning else None)
+    return frame
 
 
 def tie_set(action_marg: Categorical, tie_tolerance: float = TIE_TOLERANCE) -> tuple[int, ...]:
@@ -391,6 +420,8 @@ def tie_set(action_marg: Categorical, tie_tolerance: float = TIE_TOLERANCE) -> t
 
     Actions with zero probability never tie: no viable policy takes them.
     """
+    if not (math.isfinite(tie_tolerance) and tie_tolerance >= 0.0):
+        raise ValueError(f"tie_tolerance must be a nonnegative real, got {tie_tolerance!r}")
     probs = action_marg.probs
     return tuple(np.flatnonzero((probs > 0.0) & (probs >= probs.max() - tie_tolerance)).tolist())
 

@@ -13,6 +13,7 @@ import sys
 import tempfile
 import warnings
 from decimal import Decimal
+from unittest import mock
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import helpers
 from efeplan import harness
 from efeplan.cli import AGENT_NAMES, UsageError, config_from_args, main, parse_cli
 from efeplan.harness import (
+    EpochRecord,
     ExperimentConfig,
     ExperimentRecord,
     TrialRecord,
@@ -40,7 +42,7 @@ from efeplan.harness import (
     run_trial,
     write_records,
 )
-from efeplan.inference import ImpossibleObservationError, bma_beliefs, infer_states
+from efeplan.inference import ImpossibleObservationError, bma_beliefs, filter_step, infer_states
 from efeplan.model import (
     GenerativeModel,
     ModelEnvironment,
@@ -56,7 +58,9 @@ from efeplan.planning import (
     EfeBreakdown,
     ObjectiveKind,
     PlanContext,
+    action_marginal,
     evidence_bound_diagnostic,
+    policy_posterior,
     score_policies,
     select_action,
     tie_set,
@@ -705,6 +709,105 @@ class TestReferenceAgent:
                     for name, value in want.items():
                         assert _close(getattr(e, name), value), (agent, e.epoch, name)
                     assert e.action in tied, (agent, e.epoch)
+
+
+def _public_records(model: GenerativeModel, config: ExperimentConfig, executed, observations,
+                    parent, trial) -> dict:
+    """_plan_epoch's value of a history, made from the public functions alone:
+    filter_step, score_policies, policy_posterior, action_marginal, bma_beliefs
+    and tie_set, in the arithmetic order the loop keeps."""
+    policies, epoch = model.policies, len(observations)
+    past = parent.bma_states[: epoch - 1] if parent else ()
+    pred = model.transitions[executed[-1]] @ np.array(past[-1]) if past else model.state_prior.probs
+    now = filter_step(model, pred, observations[-1], epoch, trial)
+    ctx = PlanContext(current_epoch=epoch, executed_actions=executed)
+    viable = ctx.viable(policies)
+    g = np.full(len(policies), math.nan)
+    g[viable] = 0.0
+    breakdowns, predicted = [None] * len(policies), [None] * len(policies)
+    planning = epoch < model.horizon
+    if planning:
+        scores = score_policies(model, Categorical(now), [policies[i] for i in viable], ctx,
+                                config.agent)
+        for i, scored in zip(viable, scores):
+            g[i], breakdowns[i], predicted[i] = scored.total, scored.summed, scored.states
+    post = policy_posterior(g, policies, ctx, config.precision)
+    marg = action_marginal(post, policies, epoch, model.num_actions) if planning else None
+    fields = dict(
+        epoch=epoch,
+        observation=observations[-1],
+        action_marginal=None if marg is None else tuple(marg.probs.tolist()),
+        policy_posterior=tuple(post.probs.tolist()),
+        bma_states=(*past, tuple(now.tolist()),
+                    *map(tuple, bma_beliefs(post, predicted).tolist() if planning else [])),
+        g_values=tuple(g.tolist()),
+        breakdowns=tuple(breakdowns),
+    )
+    tied = (None,) if marg is None else tie_set(marg, config.tie_tolerance)
+    return {a: EpochRecord(action=a, **fields) for a in tied}
+
+
+def _plans_match_the_public_functions(models, config: ExperimentConfig, seed: int,
+                                      shared: bool) -> int:
+    """Run three trials of each model, in turn, and compare every history
+    _plan_epoch plans with _public_records, to the bit. Returns the count."""
+    plan_epoch, planned = harness._plan_epoch, []
+
+    def recorded(*args):
+        planned.append((args, plan_epoch(*args)))
+        return planned[-1][1]
+
+    memos = [{} if shared else None for _ in models]
+    with mock.patch.object(harness, "_plan_epoch", recorded):
+        for trial in range(1, 4):
+            for k, (model, memo) in enumerate(zip(models, memos)):
+                env = _env_from_prior(model, np.random.default_rng([seed, trial]))
+                run_trial(model, env, config, np.random.default_rng([seed, trial, 1]),
+                          trial=trial, memo=memo)
+    for (model, *history), records in planned:
+        want = _public_records(model, *history)
+        assert list(records) == list(want), history
+        assert _float_hex(tuple(records.values())) == _float_hex(tuple(want.values())), history
+    return len(planned)
+
+
+class TestPlanEpochToTheBit:
+    """Each history the closed loop plans, against the public functions."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), risk_prior=st.booleans(),
+           deterministic=st.booleans(), precision=st.sampled_from([0.0, 1.0, 16.0, 1e300]),
+           shared=st.booleans())
+    def test_records_equal_the_public_functions(self, seed, risk_prior, deterministic,
+                                                precision, shared):
+        # at precision 1e300 the posterior puts no mass on all but the best
+        # viable policies, so the mixed predictions are a strict subset of them
+        model = helpers.random_model(
+            np.random.default_rng(seed), max_states=6, max_outcomes=6, max_actions=3,
+            min_horizon=1, max_horizon=4, deterministic_likelihood=deterministic,
+            all_policies=True, risk_prior=risk_prior,
+        )
+        for agent in ObjectiveKind:
+            if model.risk_state_prior is None and agent in (ObjectiveKind.EXPECTED_UTILITY_STATES,
+                                                            ObjectiveKind.RISK_ONLY):
+                continue
+            config = _config(agent=agent, precision=precision)
+            assert _plans_match_the_public_functions([model], config, seed, shared)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+    def test_models_sharing_a_policy_set_plan_apart(self, seed, shared):
+        # the second model has one more action, which no policy takes: its
+        # marginals have one more entry, over the very same PolicySet object
+        model = helpers.random_model(np.random.default_rng(seed), max_states=5,
+                                     min_actions=2, max_actions=3, min_horizon=2, max_horizon=4,
+                                     all_policies=True)
+        wider = dataclasses.replace(model, num_actions=model.num_actions + 1,
+                                    transitions=(*model.transitions, model.transitions[0]))
+        assert wider.policies is model.policies
+        for agent in ("efe", "eig", "eu"):
+            config = _config(agent=ObjectiveKind(agent), precision=4.0)
+            assert _plans_match_the_public_functions([model, wider], config, seed, shared)
 
 
 def _posterior_gap(a: TrialRecord, b: TrialRecord) -> float:

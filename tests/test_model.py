@@ -374,6 +374,21 @@ class TestPolicySet:
             PolicySet(())
 
 
+class TestPolicy:
+    @pytest.mark.parametrize("actions", [(1.7,), (0, 2.0), (np.float32(1.0),), ("1",), 3])
+    def test_actions_that_are_not_integers_are_refused(self, actions):
+        # int() would truncate 1.7 to action 1
+        with pytest.raises(ValueError) as info:
+            Policy(actions)
+        assert str(info.value) == f"actions must be integers, got {actions!r}"
+
+    def test_numpy_integers_and_iterables_give_a_tuple_of_ints(self):
+        for actions in ((np.int64(2), np.int8(0)), np.array([2, 0]), iter([2, 0])):
+            policy = Policy(actions)
+            assert policy.actions == (2, 0)
+            assert all(type(a) is int for a in policy.actions)
+
+
 class TestRoundTrip:
     def test_maze_round_trip_exact(self, tmp_path):
         model = build_tmaze_model()

@@ -425,6 +425,18 @@ class TestPlanContext:
         ctx = PlanContext(current_epoch=4, executed_actions=(3, 1, 1))
         assert ctx.viable(model.policies) == []
 
+    @pytest.mark.parametrize("action", [1.7, 1.0, np.float64(1.0), "1", None])
+    def test_an_action_that_is_not_an_integer_is_refused(self, action):
+        # int() would truncate 1.7 to action 1 and keep planning
+        with pytest.raises(ValueError) as info:
+            PlanContext(current_epoch=2, executed_actions=(action,))
+        assert str(info.value) == f"actions must be integers, got {(action,)!r}"
+
+    def test_numpy_integers_are_kept_as_ints(self):
+        ctx = PlanContext(current_epoch=3, executed_actions=(np.int64(3), np.uint8(1)))
+        assert ctx.executed_actions == (3, 1)
+        assert all(type(a) is int for a in ctx.executed_actions)
+
 
 def _scores_as_bits(scores) -> list:
     """Per policy: G, each breakdown field and the predicted states, as exact bits."""
@@ -732,6 +744,17 @@ class TestActionMarginal:
         with pytest.raises(ValueError, match="epoch"):
             action_marginal(post, model.policies, 3, 4)
 
+    @pytest.mark.parametrize("num_actions, action", [(1, 1), (2, 2), (3, 3)])
+    def test_an_action_outside_num_actions_is_refused(self, num_actions, action):
+        # the maze's policies take each of its 4 actions first, in policy order the
+        # first outside the range is named; the marginal grew to 4 entries without a word
+        model = build_tmaze_model()
+        post = Categorical(np.full(10, 0.1))
+        with pytest.raises(ValueError) as info:
+            action_marginal(post, model.policies, 1, num_actions)
+        assert str(info.value) == (f"action {action} at epoch 1 is outside "
+                                   f"0..{num_actions - 1}")
+
 
 class TestSelectAction:
     def test_unique_maximum(self):
@@ -758,6 +781,21 @@ class TestSelectAction:
         marg = Categorical(np.array([0.0, 0.7, 0.0, 0.3]))
         picks = {select_action(marg, rng, 2.0) for _ in range(200)}
         assert picks == {1, 3}
+
+    @pytest.mark.parametrize("tie_tolerance", [-1e-9, -0.5, math.nan, math.inf, -math.inf])
+    def test_a_tie_tolerance_that_is_not_a_nonnegative_real_is_refused(self, tie_tolerance):
+        # a negative or NaN tolerance left an empty tie set, and select_action an IndexError
+        marg = Categorical(np.array([0.4, 0.4, 0.2]))
+        message = f"tie_tolerance must be a nonnegative real, got {tie_tolerance!r}"
+        for call in (lambda: tie_set(marg, tie_tolerance),
+                     lambda: select_action(marg, np.random.default_rng(0), tie_tolerance)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_a_zero_tie_tolerance_of_either_sign_keeps_the_exact_ties(self):
+        marg = Categorical(np.array([0.4, 0.4, 0.2]))
+        assert tie_set(marg, 0.0) == tie_set(marg, -0.0) == (0, 1)
 
     def test_deterministic_for_fixed_seed(self):
         marg = Categorical(np.full(4, 0.25))
