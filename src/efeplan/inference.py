@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GenerativeModel, ModelSpecError, Policy
+from .model import GenerativeModel, ModelSpecError, Policy, _check_policy
 from .numerics import Categorical, _kl, clamped_log
 
 
@@ -68,12 +68,9 @@ def filter_step(model: GenerativeModel, pred: np.ndarray, outcome: int, tau: int
 def infer_states(model: GenerativeModel, policy: Policy, observed) -> InferenceResult:
     """Filter Q(s_tau | policy) for tau = 1..horizon given (timestep, outcome) pairs."""
     obs_map = _check_observed(model, observed)
-    horizon = model.horizon
-    if len(policy.actions) != horizon - 1:
-        raise ValueError(f"policy length {len(policy.actions)} does not match horizon {horizon}")
-
+    _check_policy(policy, model)
     beliefs: list[np.ndarray] = []
-    for tau in range(1, horizon + 1):
+    for tau in range(1, model.horizon + 1):
         pred = (model.transitions[policy.actions[tau - 2]] @ beliefs[-1] if beliefs
                 else model.state_prior.probs)
         beliefs.append(filter_step(model, pred, obs_map[tau], tau) if tau in obs_map
@@ -90,6 +87,7 @@ def vfe(model: GenerativeModel, q_states, observed, policy: Policy) -> float:
     -log P(o_{1:t} | policy).
     """
     obs_map = _check_observed(model, observed)
+    _check_policy(policy, model)
     if len(q_states) != model.horizon:
         raise ValueError(f"expected {model.horizon} belief vectors, got {len(q_states)}")
     total = 0.0

@@ -44,6 +44,17 @@ def _action_indices(actions) -> tuple[int, ...]:
         raise ValueError(f"actions must be integers, got {actions!r}") from None
 
 
+def _check_policy(policy: Policy, model: GenerativeModel) -> None:
+    """Refuse a policy the model cannot follow, in validate's words: one not of
+    horizon - 1 actions, or with an action outside 0..num_actions-1."""
+    if len(policy.actions) != model.horizon - 1:
+        raise ValueError(f"{policy}: policy length {len(policy.actions)} does not match "
+                         f"horizon {model.horizon}")
+    for j, a in enumerate(policy.actions):
+        if not 0 <= a < model.num_actions:
+            raise ValueError(f"{policy}: action {j} is {a}, outside 0..{model.num_actions - 1}")
+
+
 @dataclass(frozen=True)
 class PolicySet:
     """Ordered, duplicate-free collection of policies."""

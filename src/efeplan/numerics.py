@@ -120,16 +120,21 @@ def _softmax_probs(logits, precision: float) -> np.ndarray:
     return e / e.sum()
 
 
+def _log_mass(p: np.ndarray) -> np.ndarray:
+    """log p where p has mass and 0 elsewhere, so that p * _log_mass(p) follows
+    0*log(0) := 0 with every entry summed in place."""
+    mass = p > 0.0
+    return np.log(p) if mass.all() else np.log(np.where(mass, p, 1.0))
+
+
 def _kl(p: np.ndarray, log_q: np.ndarray) -> float:
-    """sum(p * (log p - log_q)) over the entries of p with mass."""
-    mask = p > 0.0
-    return float((p[mask] * (np.log(p[mask]) - log_q[mask])).sum())
+    """sum(p * (log p - log_q)), with 0*log(0) := 0."""
+    return float((p * (_log_mass(p) - log_q)).sum())
 
 
 def entropy(p: Categorical) -> float:
     """-sum(p * log p) in nats, with 0*log(0) := 0. Lies in [0, log n]."""
-    mass = p.probs[p.probs > 0.0]
-    return float(-(mass * np.log(mass)).sum())
+    return float(-(p.probs * _log_mass(p.probs)).sum())
 
 
 def kl_divergence(p: Categorical, q: Categorical) -> float:

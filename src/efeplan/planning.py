@@ -11,7 +11,6 @@ consistent with the actions already executed.
 """
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,11 +18,12 @@ from enum import Enum
 
 import numpy as np
 
-from .model import GenerativeModel, Policy, PolicySet, _action_indices
+from .model import GenerativeModel, Policy, PolicySet, _action_indices, _check_policy
 from .numerics import (
     Categorical,
     _column_entropies,
     _kl,
+    _log_mass,
     _softmax_probs,
     clamped_log,
     entropy,
@@ -105,6 +105,7 @@ def predictive_states(
             f"need 1 <= from_epoch <= to_epoch <= {model.horizon}, "
             f"got {from_epoch}..{to_epoch}"
         )
+    _check_policy(policy, model)
     _check_states("q_now", q_now, model)
     q = q_now.probs
     for tau in range(from_epoch + 1, to_epoch + 1):
@@ -112,12 +113,19 @@ def predictive_states(
     return Categorical(q / q.sum())
 
 
-def predictive_outcome(q_s: Categorical, likelihood: np.ndarray) -> Categorical:
-    """Outcome distribution implied by a state belief."""
+def _check_likelihood(likelihood: np.ndarray, q_s: Categorical) -> None:
+    if likelihood.ndim != 2:
+        raise ValueError(f"likelihood must be an outcome x state matrix, got shape "
+                         f"{likelihood.shape}")
     if likelihood.shape[1] != len(q_s):
         raise ValueError(
             f"likelihood has {likelihood.shape[1]} state columns, belief has {len(q_s)}"
         )
+
+
+def predictive_outcome(q_s: Categorical, likelihood: np.ndarray) -> Categorical:
+    """Outcome distribution implied by a state belief."""
+    _check_likelihood(likelihood, q_s)
     q_o = likelihood @ q_s.probs
     return Categorical(q_o / q_o.sum())
 
@@ -129,10 +137,7 @@ def risk_states(q_s: Categorical, prior_s: Categorical) -> float:
 
 def ambiguity(q_s: Categorical, likelihood: np.ndarray) -> float:
     """Expected conditional outcome entropy under the state belief, nats."""
-    if likelihood.shape[1] != len(q_s):
-        raise ValueError(
-            f"likelihood has {likelihood.shape[1]} state columns, belief has {len(q_s)}"
-        )
+    _check_likelihood(likelihood, q_s)
     return float(q_s.probs @ _column_entropies(likelihood))
 
 
@@ -170,52 +175,24 @@ class PolicyScore:
         return self.summed.total
 
 
-def _row_sums(terms, p: np.ndarray) -> np.ndarray:
-    """terms(entries, columns).sum() for each row of p over the row's entries with
-    mass, equal to the 1-d sum of the masked row to the bit.
-
-    With no zero in p every row is reduced at once. Otherwise a zero kept in
-    place would move the other entries between numpy's pairwise blocks of
-    eight, so each row's entries with mass are laid out on their own, rows with
-    the same count of them together, and each such block is reduced at once.
-    """
-    mass = p > 0.0
-    if mass.all():
-        return terms(p, slice(None)).sum(axis=1)
-    counts = mass.sum(axis=1)
-    by_count = np.argsort(counts, kind="stable")
-    kept = mass[by_count]
-    values = terms(p[by_count][kept], np.nonzero(kept)[1])  # row after row
-    sums = np.empty(len(p))
-    row = start = 0
-    for k, rows in enumerate(np.bincount(counts).tolist()):
-        if rows:
-            block = values[start:start + rows * k].reshape(rows, k)
-            sums[by_count[row:row + rows]] = block.sum(axis=1)
-            row, start = row + rows, start + rows * k
-    return sums
-
-
 def _dots(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     """row @ v for each row, as stacked products equal to the 1-d ones."""
     return np.matmul(rows[:, None, :], v[:, None])[:, 0, 0]
 
 
-@functools.lru_cache(maxsize=64)
-def _tree_layout(num_actions: int, shape: tuple[int, int], key: bytes):
-    """The tree of remaining-action prefixes of an int array, which depends on the
-    actions alone: (steps, paths, rows).
+def _tree_layout(num_actions: int, actions: np.ndarray):
+    """The tree of remaining-action prefixes of a (policy x step) int array,
+    which depends on the actions alone: (steps, paths, rows).
 
     A rollout table holds the root in row 0, then the nodes level by level, a
     level's nodes numbered as the (action, parent) pairs some policy takes,
     action-major; it has rows rows. Each step (action, parents, start, stop)
     makes rows start..stop-1 from the parent rows by that action, and policy
     i's node at step k is row paths[i, k] + 1. Every array is read-only, as
-    the cache hands the same ones to every caller.
+    model.plan_frames hands the same ones to every trial.
     """
-    actions = np.frombuffer(key, dtype=np.intp).reshape(shape)
-    node = np.zeros(shape[0], dtype=np.intp)  # each policy's node in the parent level
-    steps, paths = [], np.empty(shape, dtype=np.intp)
+    node = np.zeros(len(actions), dtype=np.intp)  # each policy's node in the parent level
+    steps, paths = [], np.empty(actions.shape, dtype=np.intp)
     first, row = 0, 1  # the parent level's first row; the next free row
     for k, column in enumerate(actions.T):
         taken = np.zeros((num_actions, row - first), dtype=bool)
@@ -270,10 +247,10 @@ def _score_tree(
     q_o = np.matmul(model.likelihood[None], states[:, :, None])[..., 0]
     p_o = q_o / q_o.sum(axis=1, keepdims=True)
     ambig = _dots(states, model.column_entropies)
-    intrinsic = -_row_sums(lambda p, _: p * np.log(p), p_o) - ambig
+    intrinsic = -(p_o * _log_mass(p_o)).sum(axis=1) - ambig
     extrinsic = _dots(p_o, model.log_preferences)
     risk = (np.full(len(states), math.nan) if log_prior is None else
-            _row_sums(lambda q, columns: q * (np.log(q) - log_prior[columns]), states))
+            (states * (_log_mass(states) - log_prior)).sum(axis=1))
     if objective is ObjectiveKind.EXPECTED_FREE_ENERGY:
         total = -intrinsic - extrinsic
     elif objective is ObjectiveKind.INFO_GAIN_ONLY:
@@ -314,13 +291,11 @@ def score_policies(
     if t >= model.horizon:
         raise ValueError(f"no future timesteps to plan at epoch {t} of {model.horizon}")
     for p in policies:
-        if len(p.actions) != model.horizon - 1:
-            raise ValueError(f"{p}: policy length {len(p.actions)} does not match "
-                             f"horizon {model.horizon}")
+        _check_policy(p, model)
     _check_states("q_now", q_now, model)
     actions = np.array([p.actions[t - 1:] for p in policies], dtype=np.intp)
     actions = actions.reshape(len(policies), model.horizon - t)
-    layout = _tree_layout(model.num_actions, actions.shape, actions.tobytes())
+    layout = _tree_layout(model.num_actions, actions)
     summed, paths, parts, states = _score_tree(model, q_now.probs, layout, objective)
     breakdowns = [EfeBreakdown(*row) for row in parts.tolist()]
     return [PolicyScore(summed=EfeBreakdown(*sums),
@@ -410,7 +385,7 @@ def _plan_frame(model: GenerativeModel, executed: tuple[int, ...]) -> tuple:
         rest, planning = actions[viable, epoch - 1:], epoch < model.horizon
         frame = model.plan_frames[executed] = (
             viable, np.array(viable, dtype=np.intp),
-            _tree_layout(model.num_actions, rest.shape, rest.tobytes()) if planning else None,
+            _tree_layout(model.num_actions, rest) if planning else None,
             actions[:, epoch - 1] if planning else None)
     return frame
 

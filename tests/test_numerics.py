@@ -12,6 +12,7 @@ from efeplan.numerics import (
     NORM_TOL,
     Categorical,
     DegenerateDistributionError,
+    clamped_log,
     entropy,
     kl_divergence,
     normalize,
@@ -235,3 +236,33 @@ class TestKlDivergence:
             assert d >= -1e-15
             if np.abs(p.probs - q.probs).max() > 1e-6:
                 assert d > 0.0
+
+
+def _log_or_0(p: np.ndarray) -> np.ndarray:
+    """log p where p > 0 and 0 elsewhere, written apart from the package's own."""
+    return np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+
+
+@st.composite
+def _distributions_with_zeros(draw, size: int) -> np.ndarray:
+    """A distribution of size entries, some of them exact zeros."""
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                     min_size=size, max_size=size)))
+    if weights.sum() == 0.0:
+        weights[draw(st.integers(0, size - 1))] = 1.0
+    return weights / weights.sum()
+
+
+class TestZeroLogZeroRule:
+    """entropy and kl_divergence sum every entry in place, each p = 0 term
+    counting 0, as the tree scorer sums its rows: the one 0*log(0) := 0 rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_entry_summed_in_place_property(self, data):
+        size = data.draw(st.integers(1, 64))
+        p, q = (data.draw(_distributions_with_zeros(size)) for _ in range(2))
+        want_h = float(-(p * _log_or_0(p)).sum())
+        want_kl = float((p * (_log_or_0(p) - clamped_log(q))).sum())
+        assert entropy(Categorical(p)).hex() == want_h.hex()
+        assert kl_divergence(Categorical(p), Categorical(q)).hex() == want_kl.hex()

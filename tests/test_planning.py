@@ -475,7 +475,7 @@ class TestScorePoliciesToTheBit:
             if sparse:  # and some states ruled out now
                 q_now = q_now * (rng.random(states) < 0.7)
             q_now = Categorical(q_now / q_now.sum())
-            # sparse rows take the grouped masked sums, dense ones the full-row reduction
+            # sparse rows hold exact zeros, summed in place as 0 terms; dense ones none
             predicted = np.concatenate([s.states for s in score_policies(
                 model, q_now, model.policies, PlanContext(current_epoch=1), "efe")])
             assert (predicted == 0.0).any() == sparse
@@ -492,8 +492,9 @@ class TestScorePoliciesToTheBit:
 
 
 class TestCachedScoringState:
-    """The scorer caches each model's constants on the model and each actions
-    array's tree layout by value; neither may carry one model's values to another."""
+    """The scorer caches each model's constants on the model, and builds the tree
+    layout of each call's actions; no cached value may carry one model's values
+    to another."""
 
     @staticmethod
     def _scores_bits(model, q_now, objective) -> list:
@@ -512,7 +513,7 @@ class TestCachedScoringState:
             ObjectiveKind.EXPECTED_UTILITY_STATES, ObjectiveKind.RISK_ONLY)]
 
     def test_models_of_one_shape_built_and_dropped_in_turn(self):
-        # every model has the same policies, so all share one cached layout; each is
+        # every model has the same policies, so all build one tree layout; each is
         # dropped before the next is built, so object ids recycle
         for seed in range(24):
             rng = np.random.default_rng([5, seed])

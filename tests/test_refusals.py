@@ -12,8 +12,11 @@ from efeplan.planning import (
     ambiguity,
     evidence_bound_diagnostic,
     expected_free_energy,
+    expected_info_gain,
     extrinsic_value,
     policy_posterior,
+    predictive_outcome,
+    predictive_states,
     score_policies,
 )
 from efeplan.tmaze import build_tmaze_model
@@ -76,6 +79,49 @@ CASES = {
     "action_marginal, a posterior of the wrong length": (
         lambda: action_marginal(Categorical(np.full(9, 1 / 9)), MAZE.policies, 1, 4),
         ValueError, "policy posterior and policy set sizes differ"),
+    "expected_free_energy, a negative action": (
+        lambda: expected_free_energy(MAZE, MAZE.state_prior, Policy((-1, 0)), CTX, "efe"),
+        ValueError, "Policy(actions=(-1, 0)): action 0 is -1, outside 0..3"),
+    "expected_free_energy, an action past the last": (
+        lambda: expected_free_energy(MAZE, MAZE.state_prior, Policy((0, 4)), CTX, "efe"),
+        ValueError, "Policy(actions=(0, 4)): action 1 is 4, outside 0..3"),
+    "score_policies, an action past the last": (
+        lambda: score_policies(MAZE, MAZE.state_prior, [Policy((0, 1)), Policy((4, 0))], CTX,
+                               "efe"),
+        ValueError, "Policy(actions=(4, 0)): action 0 is 4, outside 0..3"),
+    "infer_states, a negative action": (
+        lambda: infer_states(MAZE, Policy((-1, 0)), [(1, 0)]),
+        ValueError, "Policy(actions=(-1, 0)): action 0 is -1, outside 0..3"),
+    "infer_states, an action past the last": (
+        lambda: infer_states(MAZE, Policy((0, 4)), [(1, 0)]),
+        ValueError, "Policy(actions=(0, 4)): action 1 is 4, outside 0..3"),
+    "predictive_states, a negative action": (
+        lambda: predictive_states(MAZE, MAZE.state_prior, Policy((-1, 0)), 1, 2),
+        ValueError, "Policy(actions=(-1, 0)): action 0 is -1, outside 0..3"),
+    "predictive_states, an action past the last": (
+        lambda: predictive_states(MAZE, MAZE.state_prior, Policy((0, 4)), 1, 3),
+        ValueError, "Policy(actions=(0, 4)): action 1 is 4, outside 0..3"),
+    "predictive_states, a policy too short for the horizon": (
+        lambda: predictive_states(MAZE, MAZE.state_prior, Policy((0,)), 1, 3),
+        ValueError, "Policy(actions=(0,)): policy length 1 does not match horizon 3"),
+    "vfe, a negative action": (
+        lambda: vfe(MAZE, [MAZE.state_prior] * 3, [(1, 0)], Policy((-1, 0))),
+        ValueError, "Policy(actions=(-1, 0)): action 0 is -1, outside 0..3"),
+    "vfe, an action past the last": (
+        lambda: vfe(MAZE, [MAZE.state_prior] * 3, [(1, 0)], Policy((0, 4))),
+        ValueError, "Policy(actions=(0, 4)): action 1 is 4, outside 0..3"),
+    "vfe, a policy too short for the horizon": (
+        lambda: vfe(MAZE, [MAZE.state_prior] * 3, [(1, 0)], Policy((0,))),
+        ValueError, "Policy(actions=(0,)): policy length 1 does not match horizon 3"),
+    "ambiguity, a likelihood that is not a matrix": (
+        lambda: ambiguity(MAZE.state_prior, np.ones(8)),
+        ValueError, "likelihood must be an outcome x state matrix, got shape (8,)"),
+    "predictive_outcome, a likelihood that is not a matrix": (
+        lambda: predictive_outcome(MAZE.state_prior, np.ones(8)),
+        ValueError, "likelihood must be an outcome x state matrix, got shape (8,)"),
+    "expected_info_gain, a likelihood that is not a matrix": (
+        lambda: expected_info_gain(MAZE.state_prior, np.ones((7, 8, 1))),
+        ValueError, "likelihood must be an outcome x state matrix, got shape (7, 8, 1)"),
     "evidence_bound_diagnostic, no prior": (
         lambda: evidence_bound_diagnostic(MAZE, MAZE.state_prior, MAZE.policies[0], CTX, None),
         ConfigurationError, "evidence_bound_diagnostic requires prior_states"),
